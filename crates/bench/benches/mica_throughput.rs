@@ -1,6 +1,7 @@
 //! Characterization overhead: the cost of the full 69-characteristic
 //! analysis on top of bare execution, and per-analyzer costs on a
-//! synthetic record stream.
+//! synthetic record stream (`analyzer/*`) and on recorded registry
+//! streams (`analyzer_registry/*`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -9,10 +10,12 @@ use phaselab_mica::{
     Analyzer, BranchAnalyzer, FeatureVector, FootprintAnalyzer, IlpAnalyzer, IntervalCharacterizer,
     MixAnalyzer, RegTrafficAnalyzer, StrideAnalyzer,
 };
-use phaselab_trace::{ArchReg, BranchInfo, CountingSink, InstClass, InstRecord, MemAccess};
+use phaselab_trace::{
+    ArchReg, BranchInfo, CountingSink, InstClass, InstRecord, MemAccess, VecSink,
+};
 use phaselab_vm::Vm;
 use phaselab_workloads::kernels::numeric;
-use phaselab_workloads::Builder;
+use phaselab_workloads::{catalog, Builder, Scale, Suite};
 
 /// A synthetic but behaviorally rich record stream.
 fn record_stream(n: usize) -> Vec<InstRecord> {
@@ -83,6 +86,78 @@ fn bench_analyzers(c: &mut Criterion) {
     group.finish();
 }
 
+/// Registry programs replayed by `analyzer_registry/*`: one
+/// branch-heavy (about 22% conditional branches), one memory-heavy
+/// (about 34% loads and stores).
+const REGISTRY_STREAMS: [(Suite, &str); 2] =
+    [(Suite::SpecInt2000, "twolf"), (Suite::SpecFp2000, "swim")];
+
+/// Instructions recorded from each registry program.
+const REGISTRY_STREAM_LEN: u64 = 200_000;
+
+/// Interval length of the replay: analyzers reset at each boundary, as
+/// under the characterizer.
+const REGISTRY_INTERVAL: usize = 50_000;
+
+/// The first [`REGISTRY_STREAM_LEN`] records of each small-scale
+/// [`REGISTRY_STREAMS`] program.
+fn registry_streams() -> Vec<Vec<InstRecord>> {
+    let all = catalog();
+    REGISTRY_STREAMS
+        .iter()
+        .map(|&(suite, name)| {
+            let bench = all
+                .iter()
+                .find(|b| b.suite() == suite && b.name() == name)
+                .expect("registry stream program exists");
+            let mut sink = VecSink::new();
+            Vm::new(&bench.build(Scale::Small, 0))
+                .run(&mut sink, REGISTRY_STREAM_LEN)
+                .expect("registry programs run");
+            sink.into_records()
+        })
+        .collect()
+}
+
+fn bench_registry_analyzers(c: &mut Criterion) {
+    let streams = registry_streams();
+    let records: usize = streams.iter().map(Vec::len).sum();
+    let mut group = c.benchmark_group("analyzer_registry");
+    group.throughput(Throughput::Elements(records as u64));
+    group.sample_size(20);
+
+    macro_rules! bench_one {
+        ($name:literal, $ty:ty) => {
+            group.bench_function($name, |bench| {
+                // One analyzer for the whole run, as the characterizer
+                // keeps one per program: table allocation and its first
+                // touches stay out of the steady-state cost.
+                let mut a = <$ty>::new();
+                bench.iter(|| {
+                    let mut out = FeatureVector::zeros();
+                    for stream in &streams {
+                        for interval in stream.chunks(REGISTRY_INTERVAL) {
+                            for (i, rec) in interval.iter().enumerate() {
+                                a.observe(rec, i as u64);
+                            }
+                            a.emit(&mut out);
+                            a.reset();
+                        }
+                    }
+                    black_box(out)
+                })
+            });
+        };
+    }
+    bench_one!("mix", MixAnalyzer);
+    bench_one!("ilp", IlpAnalyzer);
+    bench_one!("regtraffic", RegTrafficAnalyzer);
+    bench_one!("footprint", FootprintAnalyzer);
+    bench_one!("strides", StrideAnalyzer);
+    bench_one!("branch_ppm", BranchAnalyzer);
+    group.finish();
+}
+
 fn bench_vm_vs_characterized(c: &mut Criterion) {
     let mut b = Builder::new(2);
     numeric::stream_triad(&mut b, 2048, 10);
@@ -114,5 +189,10 @@ fn bench_vm_vs_characterized(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(mica, bench_analyzers, bench_vm_vs_characterized);
+criterion_group!(
+    mica,
+    bench_analyzers,
+    bench_registry_analyzers,
+    bench_vm_vs_characterized
+);
 criterion_main!(mica);

@@ -48,7 +48,7 @@ use std::io::{self};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-use phaselab_mica::{FeatureVector, NUM_FEATURES};
+use phaselab_mica::{FeatureVector, FEATURE_SEMANTICS, NUM_FEATURES};
 use phaselab_stats::{Clustering, KmeansConfig, Matrix};
 use phaselab_vm::{VerifyError, VmError};
 use phaselab_workloads::{Scale, Suite};
@@ -56,7 +56,7 @@ use phaselab_workloads::{Scale, Suite};
 use crate::characterize::BenchCharacterization;
 use crate::config::{AnalysisMode, StudyConfig};
 use crate::error::{QuarantineCause, QuarantinedBenchmark};
-use crate::faults;
+use crate::faults::Io;
 
 const MAGIC: &[u8; 4] = b"PLCK";
 /// Bumped whenever the payload encodings change; older files are
@@ -229,7 +229,8 @@ fn analysis_code(mode: AnalysisMode) -> u64 {
 }
 
 /// Fingerprint of everything that determines a benchmark's
-/// characterization — format version, workload scale, interval length,
+/// characterization — format version, feature-semantics version
+/// ([`FEATURE_SEMANTICS`]), workload scale, interval length,
 /// per-run instruction cap, and the watchdog budget — plus the run
 /// *protocol*: the analysis mode and the shard topology.
 ///
@@ -247,8 +248,15 @@ fn analysis_code(mode: AnalysisMode) -> u64 {
 /// a study checkpointed under one engine resumes exactly under the
 /// other.
 pub fn characterization_fingerprint(cfg: &StudyConfig) -> u64 {
+    characterization_fingerprint_under(cfg, FEATURE_SEMANTICS)
+}
+
+/// [`characterization_fingerprint`] under an explicit feature-semantics
+/// version.
+fn characterization_fingerprint_under(cfg: &StudyConfig, semantics: u32) -> u64 {
     let mut h = Fnv::new();
     h.u64(VERSION as u64)
+        .u64(semantics as u64)
         .u64(scale_code(cfg.scale))
         .u64(cfg.interval_len)
         .u64(cfg.max_instructions_per_run);
@@ -784,6 +792,7 @@ fn sanitize(name: &str) -> String {
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     dir: PathBuf,
+    io: Io,
 }
 
 impl CheckpointStore {
@@ -794,11 +803,27 @@ impl CheckpointStore {
     /// Returns the I/O error if the directory cannot be created.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         // Any process that touches a store (including spawned shard
-        // workers) arms chaos injection from the environment here.
-        faults::arm_from_env();
+        // workers) picks up chaos injection from the environment here.
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(CheckpointStore { dir })
+        Ok(CheckpointStore {
+            dir,
+            io: Io::from_env(),
+        })
+    }
+
+    /// The same store with its frame reads, writes, and renames done
+    /// through `io` — how a chaos test arms one handle without touching
+    /// any other.
+    #[must_use]
+    pub fn with_io(self, io: Io) -> Self {
+        CheckpointStore { io, ..self }
+    }
+
+    /// The I/O this handle's frame reads, writes, and renames go
+    /// through.
+    pub fn io(&self) -> &Io {
+        &self.io
     }
 
     /// The store's root directory.
@@ -824,13 +849,13 @@ impl CheckpointStore {
             .join(format!("restart-{restart}.ckpt"))
     }
 
-    fn write(path: &Path, kind: u8, fingerprint: u64, payload: &[u8]) {
+    fn write(&self, path: &Path, kind: u8, fingerprint: u64, payload: &[u8]) {
         let result: io::Result<()> = (|| {
             let parent = path.parent().expect("checkpoint paths have a parent");
             fs::create_dir_all(parent)?;
             let tmp = path.with_extension("ckpt.tmp");
-            faults::fs_write(&tmp, &frame(kind, fingerprint, payload))?;
-            faults::fs_rename(&tmp, path)
+            self.io.write(&tmp, &frame(kind, fingerprint, payload))?;
+            self.io.rename(&tmp, path)
         })();
         if let Err(e) = result {
             phaselab_obs::counter_add("checkpoint.write_errors", phaselab_obs::Class::Timing, 1);
@@ -846,7 +871,7 @@ impl CheckpointStore {
     /// before the file is classified as corruption-and-recompute.
     const READ_RETRIES: u32 = 3;
 
-    fn read(path: &Path, kind: u8, fingerprint: u64) -> Option<Vec<u8>> {
+    fn read(&self, path: &Path, kind: u8, fingerprint: u64) -> Option<Vec<u8>> {
         let mut last_err: Option<CheckpointError> = None;
         for attempt in 0..=Self::READ_RETRIES {
             if attempt > 0 {
@@ -856,7 +881,7 @@ impl CheckpointStore {
                     1,
                 );
             }
-            let bytes = match faults::fs_read(path) {
+            let bytes = match self.io.read(path) {
                 Ok(b) => b,
                 Err(e) if e.kind() == io::ErrorKind::NotFound => return None,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {
@@ -903,7 +928,7 @@ impl CheckpointStore {
     ) {
         let path = self.benchmark_path(fingerprint, suite, name);
         match encode_bench_outcome(outcome) {
-            Ok(payload) => Self::write(&path, KIND_BENCH, fingerprint, &payload),
+            Ok(payload) => self.write(&path, KIND_BENCH, fingerprint, &payload),
             Err(e) => warn_skip(&path, &e),
         }
     }
@@ -917,7 +942,7 @@ impl CheckpointStore {
         name: &str,
     ) -> Option<BenchOutcome> {
         let path = self.benchmark_path(fingerprint, suite, name);
-        let Some(payload) = Self::read(&path, KIND_BENCH, fingerprint) else {
+        let Some(payload) = self.read(&path, KIND_BENCH, fingerprint) else {
             record_lookup(false);
             return None;
         };
@@ -940,7 +965,7 @@ impl CheckpointStore {
     pub fn store_clustering(&self, fingerprint: u64, restart: usize, clustering: &Clustering) {
         let path = self.clustering_path(fingerprint, restart);
         match encode_clustering(clustering) {
-            Ok(payload) => Self::write(&path, KIND_CLUSTERING, fingerprint, &payload),
+            Ok(payload) => self.write(&path, KIND_CLUSTERING, fingerprint, &payload),
             Err(e) => warn_skip(&path, &e),
         }
     }
@@ -949,7 +974,7 @@ impl CheckpointStore {
     /// unusable (warned, never fatal).
     pub fn load_clustering(&self, fingerprint: u64, restart: usize) -> Option<Clustering> {
         let path = self.clustering_path(fingerprint, restart);
-        let Some(payload) = Self::read(&path, KIND_CLUSTERING, fingerprint) else {
+        let Some(payload) = self.read(&path, KIND_CLUSTERING, fingerprint) else {
             record_lookup(false);
             return None;
         };
@@ -1252,6 +1277,15 @@ mod tests {
         assert_eq!(
             characterization_fingerprint(&a),
             characterization_fingerprint(&d)
+        );
+        // A feature-semantics bump retires every stored characterization.
+        assert_ne!(
+            characterization_fingerprint_under(&a, FEATURE_SEMANTICS),
+            characterization_fingerprint_under(&a, FEATURE_SEMANTICS + 1)
+        );
+        assert_eq!(
+            characterization_fingerprint(&a),
+            characterization_fingerprint_under(&a, FEATURE_SEMANTICS)
         );
         // Neither does the execution engine: both produce bit-identical
         // characterizations, so a checkpoint resumes across engines.

@@ -5,15 +5,17 @@
 //! frames, short reads, transient `EINTR`s, full disks, failed renames —
 //! exists because real filesystems misbehave. This module makes those
 //! misbehaviors *injectable on purpose*: a seeded [`FaultPlan`] names
-//! per-operation probabilities for each fault kind, and once armed
-//! (programmatically via [`arm`], or from the `PHASELAB_FAULTS`
-//! environment variable) the store's reads, writes, and renames are
-//! routed through the injector. Chaos tests then exercise exactly the
-//! code paths that mangle-scripts only hit by luck.
+//! per-operation probabilities for each fault kind. Each store or queue
+//! handle does its reads, writes, and renames through an [`Io`] value;
+//! a faulty `Io` (built from a plan, or from the `PHASELAB_FAULTS`
+//! environment variable when the handle is opened) routes them through
+//! an injector. Chaos tests then exercise exactly the code paths that
+//! mangle-scripts only hit by luck, on the handles they arm and no
+//! others.
 //!
 //! # Determinism
 //!
-//! Fault decisions hash (seed, per-process draw sequence number, fault
+//! Fault decisions hash (seed, per-injector draw sequence number, fault
 //! lane, path) through FNV-1a — no wall clock, no OS entropy. Two runs
 //! of the same single-threaded test with the same plan inject the same
 //! faults at the same operations. Multi-process chaos runs are
@@ -23,8 +25,8 @@
 //!
 //! # Cost when disabled
 //!
-//! Disarmed (the default), each wrapped operation pays one relaxed
-//! atomic load before falling through to the plain `std::fs` call.
+//! Plain `Io` (the default) pays one `Option` check per operation
+//! before the plain `std::fs` call.
 //!
 //! # Spec syntax
 //!
@@ -37,8 +39,8 @@
 
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -206,8 +208,7 @@ impl FaultPlan {
 /// A seeded fault injector: a [`FaultPlan`] plus the per-process draw
 /// sequence that makes its decisions deterministic.
 ///
-/// Most callers arm the process-wide injector via [`arm`] /
-/// [`arm_from_env`]; tests that want isolation can hold their own
+/// Handles hold one inside an [`Io`]; tests can also hold their own
 /// `Injector` and call its methods directly.
 #[derive(Debug)]
 pub struct Injector {
@@ -355,101 +356,109 @@ impl Injector {
 }
 
 // ---------------------------------------------------------------------
-// Process-wide arming.
+// Per-handle I/O.
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static GLOBAL: Mutex<Option<Arc<Injector>>> = Mutex::new(None);
-
-/// Arms the process-wide injector with `plan`, replacing any previous
-/// one. A no-op plan (all probabilities zero) disarms instead.
-pub fn arm(plan: FaultPlan) {
-    if plan.is_noop() {
-        disarm();
-        return;
-    }
-    let mut global = GLOBAL.lock().expect("faults lock");
-    *global = Some(Arc::new(Injector::new(plan)));
-    ARMED.store(true, Ordering::Release);
-}
-
-/// Disarms the process-wide injector; wrapped I/O reverts to plain
-/// `std::fs` calls.
-pub fn disarm() {
-    let mut global = GLOBAL.lock().expect("faults lock");
-    ARMED.store(false, Ordering::Release);
-    *global = None;
-}
-
-/// True when a process-wide injector is armed.
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
-/// The currently armed process-wide injector, if any.
-pub fn current() -> Option<Arc<Injector>> {
-    if !ARMED.load(Ordering::Acquire) {
-        return None;
-    }
-    GLOBAL.lock().expect("faults lock").clone()
-}
-
-/// Arms from the `PHASELAB_FAULTS` environment variable, once per
-/// process. An unparsable spec warns and leaves injection disarmed —
-/// a chaos knob must never break a production run.
+/// The filesystem I/O surface of one store or queue handle: plain
+/// `std::fs` calls, or the same calls routed through an [`Injector`].
 ///
-/// Called from [`CheckpointStore::open`](crate::CheckpointStore::open),
-/// so any process that touches a store (including spawned shard
-/// workers) arms automatically.
-pub fn arm_from_env() {
-    static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| {
-        if let Ok(spec) = std::env::var("PHASELAB_FAULTS") {
-            match FaultPlan::parse(&spec) {
-                Ok(plan) => arm(plan),
+/// Faults belong to the handle, not the process: a chaos test arms the
+/// handle it drives (via [`with_io`](crate::CheckpointStore::with_io))
+/// and every other handle in the process, including concurrent tests
+/// over other directories, keeps doing plain I/O. Cloning an `Io`
+/// shares its injector, so clones draw from one sequence and one
+/// injection budget.
+#[derive(Debug, Clone, Default)]
+pub struct Io {
+    injector: Option<Arc<Injector>>,
+}
+
+impl Io {
+    /// Plain, fault-free I/O.
+    pub fn plain() -> Io {
+        Io::default()
+    }
+
+    /// I/O routed through a fresh injector for `plan`. A no-op plan
+    /// (all probabilities zero) gives plain I/O.
+    pub fn faulty(plan: FaultPlan) -> Io {
+        if plan.is_noop() {
+            return Io::plain();
+        }
+        Io {
+            injector: Some(Arc::new(Injector::new(plan))),
+        }
+    }
+
+    /// The I/O that `PHASELAB_FAULTS` asks for in this process.
+    ///
+    /// The variable is parsed once per process; every handle opened
+    /// from it shares one injector, so its draw sequence and `max`
+    /// budget are per process. An unparsable spec warns and gives plain
+    /// I/O — a chaos knob must never break a production run.
+    ///
+    /// Called from [`CheckpointStore::open`](crate::CheckpointStore::open)
+    /// and the serve queue's `open`, so any process that touches a store
+    /// (including spawned shard workers) picks the plan up.
+    pub fn from_env() -> Io {
+        static ENV: OnceLock<Io> = OnceLock::new();
+        ENV.get_or_init(|| match std::env::var("PHASELAB_FAULTS") {
+            Ok(spec) => match FaultPlan::parse(&spec) {
+                Ok(plan) => Io::faulty(plan),
                 Err(e) => {
                     eprintln!("[phaselab] warning: ignoring PHASELAB_FAULTS: {e}");
+                    Io::plain()
                 }
-            }
+            },
+            Err(_) => Io::plain(),
+        })
+        .clone()
+    }
+
+    /// True when this handle's I/O goes through an injector.
+    pub fn is_faulty(&self) -> bool {
+        self.injector.is_some()
+    }
+
+    /// Total faults this handle's injector has injected (0 for plain
+    /// I/O).
+    pub fn injected(&self) -> u64 {
+        self.injector.as_ref().map_or(0, |i| i.injected())
+    }
+
+    /// `std::fs::write`, with the injector's faults if any.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the underlying write (or the injected fault) produces.
+    pub fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        match &self.injector {
+            Some(inj) => inj.write(path, bytes),
+            None => std::fs::write(path, bytes),
         }
-    });
-}
-
-// ---------------------------------------------------------------------
-// Wrapped filesystem operations (the checkpoint store's I/O surface).
-
-/// `std::fs::write` routed through the armed injector, if any.
-///
-/// # Errors
-///
-/// Whatever the underlying write (or the injected fault) produces.
-pub fn fs_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    match current() {
-        Some(inj) => inj.write(path, bytes),
-        None => std::fs::write(path, bytes),
     }
-}
 
-/// `std::fs::rename` routed through the armed injector, if any.
-///
-/// # Errors
-///
-/// Whatever the underlying rename (or the injected fault) produces.
-pub fn fs_rename(from: &Path, to: &Path) -> io::Result<()> {
-    match current() {
-        Some(inj) => inj.rename(from, to),
-        None => std::fs::rename(from, to),
+    /// `std::fs::rename`, with the injector's faults if any.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the underlying rename (or the injected fault) produces.
+    pub fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        match &self.injector {
+            Some(inj) => inj.rename(from, to),
+            None => std::fs::rename(from, to),
+        }
     }
-}
 
-/// `std::fs::read` routed through the armed injector, if any.
-///
-/// # Errors
-///
-/// Whatever the underlying read (or the injected fault) produces.
-pub fn fs_read(path: &Path) -> io::Result<Vec<u8>> {
-    match current() {
-        Some(inj) => inj.read(path),
-        None => std::fs::read(path),
+    /// `std::fs::read`, with the injector's faults if any.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the underlying read (or the injected fault) produces.
+    pub fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        match &self.injector {
+            Some(inj) => inj.read(path),
+            None => std::fs::read(path),
+        }
     }
 }
 
@@ -544,6 +553,36 @@ mod tests {
         }
         assert_eq!(errors, 2, "exactly max_injections faults fire");
         assert_eq!(inj.injected(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn faults_stay_on_the_handle_that_armed_them() {
+        let dir =
+            std::env::temp_dir().join(format!("phaselab-faults-handle-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let file = dir.join("probe.bin");
+        std::fs::write(&file, b"payload").expect("seed file");
+        let faulty = Io::faulty(FaultPlan {
+            eintr: 1.0,
+            max_injections: 3,
+            ..FaultPlan::default()
+        });
+        let plain = Io::plain();
+        assert!(faulty.is_faulty() && !plain.is_faulty());
+        assert!(faulty.read(&file).is_err());
+        assert_eq!(plain.read(&file).expect("plain read"), b"payload");
+        // Clones share one injector: one budget, one draw sequence.
+        let twin = faulty.clone();
+        assert!(twin.read(&file).is_err());
+        assert!(faulty.read(&file).is_err());
+        assert_eq!(twin.read(&file).expect("budget spent"), b"payload");
+        assert_eq!(
+            (faulty.injected(), twin.injected(), plain.injected()),
+            (3, 3, 0)
+        );
+        // A no-op plan is plain I/O.
+        assert!(!Io::faulty(FaultPlan::default()).is_faulty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

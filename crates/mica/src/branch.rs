@@ -1,6 +1,8 @@
 //! Branch predictability analyzer (14 features): taken/transition rates
 //! and prediction-by-partial-matching (PPM) misprediction rates.
 
+use std::collections::hash_map;
+
 use phaselab_trace::InstRecord;
 
 use crate::features::{FeatureVector, BRANCH_BASE};
@@ -9,6 +11,9 @@ use crate::Analyzer;
 
 /// Deepest context length tracked by the PPM predictors.
 const MAX_HIST: u32 = 12;
+
+/// Context lengths per branch: every length from 0 to [`MAX_HIST`].
+const CONTEXTS: usize = MAX_HIST as usize + 1;
 
 /// The three maximum history lengths of the characterization.
 const DEPTHS: [u32; 3] = [4, 8, 12];
@@ -116,22 +121,27 @@ impl PpmPredictor {
         }
     }
 
+    /// Predicts and then learns one branch outcome.
+    ///
+    /// Each of the 13 context keys is hashed once and serves both the
+    /// probe and the update. Every slot is read before any is written:
+    /// two context lengths of one branch can map to the same slot, and
+    /// updating the shorter one first would evict the longer one's entry
+    /// before it was read. Scanning lengths in ascending order lets each
+    /// later (longer) hit overwrite the prediction of every depth it fits
+    /// under, so each depth ends with its longest hit — the PPM rule.
     #[inline]
     fn observe(&mut self, pc: u64, hist: u64, taken: bool) {
         let pc_key = if self.per_address { pc } else { 0 };
-        // Walk contexts from longest to shortest; the first match at
-        // length <= depth is the PPM prediction for that depth.
+        let keys: [u64; CONTEXTS] =
+            std::array::from_fn(|len| context_key(len as u32, hist, pc_key));
         let mut predictions: [Option<bool>; 3] = [None; 3];
-        for len in (0..=MAX_HIST).rev() {
-            if let Some((t, n)) = self.table.lookup(context_key(len, hist, pc_key)) {
-                let predict_taken = t >= n;
-                for (i, &depth) in DEPTHS.iter().enumerate() {
-                    if len <= depth && predictions[i].is_none() {
-                        predictions[i] = Some(predict_taken);
+        for (len, &key) in (0..).zip(&keys) {
+            if let Some((t, n)) = self.table.lookup(key) {
+                for (pred, &depth) in predictions.iter_mut().zip(&DEPTHS) {
+                    if len <= depth {
+                        *pred = Some(t >= n);
                     }
-                }
-                if predictions.iter().all(std::option::Option::is_some) {
-                    break;
                 }
             }
         }
@@ -143,8 +153,8 @@ impl PpmPredictor {
                 *miss += 1;
             }
         }
-        for len in 0..=MAX_HIST {
-            self.table.update(context_key(len, hist, pc_key), taken);
+        for key in keys {
+            self.table.update(key, taken);
         }
     }
 
@@ -167,9 +177,9 @@ pub struct BranchAnalyzer {
     taken: u64,
     transitions: u64,
     with_history: u64,
-    last_outcome: FxHashMap<u64, bool>,
+    /// Per static branch: its last outcome and its local history.
+    per_pc: FxHashMap<u64, (bool, u64)>,
     global_hist: u64,
-    local_hist: FxHashMap<u64, u64>,
     /// Order: GAg, GAp, PAg, PAp (history kind, then table kind).
     predictors: [PpmPredictor; 4],
 }
@@ -182,9 +192,8 @@ impl BranchAnalyzer {
             taken: 0,
             transitions: 0,
             with_history: 0,
-            last_outcome: FxHashMap::default(),
+            per_pc: FxHashMap::default(),
             global_hist: 0,
-            local_hist: FxHashMap::default(),
             predictors: [
                 PpmPredictor::new(false, false), // GAg: global history, global table
                 PpmPredictor::new(false, true),  // GAp: global history, per-address table
@@ -216,14 +225,18 @@ impl BranchAnalyzer {
         self.branches += 1;
         self.taken += taken as u64;
 
-        if let Some(prev) = self.last_outcome.insert(pc, taken) {
-            self.with_history += 1;
-            if prev != taken {
-                self.transitions += 1;
+        let (last, local) = match self.per_pc.entry(pc) {
+            hash_map::Entry::Occupied(e) => {
+                let state = e.into_mut();
+                self.with_history += 1;
+                if state.0 != taken {
+                    self.transitions += 1;
+                }
+                state
             }
-        }
-
-        let local = self.local_hist.entry(pc).or_insert(0);
+            hash_map::Entry::Vacant(e) => e.insert((taken, 0)),
+        };
+        *last = taken;
         let local_before = *local;
         *local = ((*local << 1) | taken as u64) & ((1 << MAX_HIST) - 1);
         let global_before = self.global_hist;
@@ -263,9 +276,8 @@ impl Analyzer for BranchAnalyzer {
         self.taken = 0;
         self.transitions = 0;
         self.with_history = 0;
-        self.last_outcome.clear();
+        self.per_pc.clear();
         self.global_hist = 0;
-        self.local_hist.clear();
         for p in &mut self.predictors {
             p.reset();
         }
@@ -415,6 +427,250 @@ mod tests {
         a.observe(&branch(0x40, true), 0);
         let f = emit(&a);
         assert!(f[2] > 0.99, "cold predictor should miss the first branch");
+    }
+
+    /// The two-pass probe the fused [`PpmPredictor::observe`] replaced:
+    /// a longest-first lookup walk that stops once every depth has a
+    /// prediction, then an update pass that rehashes every context.
+    fn observe_two_pass(p: &mut PpmPredictor, pc: u64, hist: u64, taken: bool) {
+        let pc_key = if p.per_address { pc } else { 0 };
+        let mut predictions: [Option<bool>; 3] = [None; 3];
+        for len in (0..=MAX_HIST).rev() {
+            if let Some((t, n)) = p.table.lookup(context_key(len, hist, pc_key)) {
+                for (i, &depth) in DEPTHS.iter().enumerate() {
+                    if len <= depth && predictions[i].is_none() {
+                        predictions[i] = Some(t >= n);
+                    }
+                }
+                if predictions.iter().all(Option::is_some) {
+                    break;
+                }
+            }
+        }
+        for (miss, pred) in p.misses.iter_mut().zip(predictions) {
+            if pred.unwrap_or(false) != taken {
+                *miss += 1;
+            }
+        }
+        for len in 0..=MAX_HIST {
+            p.table.update(context_key(len, hist, pc_key), taken);
+        }
+    }
+
+    /// A tempting but wrong fusion: probe and update each length in
+    /// turn, so a shorter context's update can evict a longer one's
+    /// entry before it is read.
+    fn observe_interleaved(p: &mut PpmPredictor, pc: u64, hist: u64, taken: bool) {
+        let pc_key = if p.per_address { pc } else { 0 };
+        let mut predictions: [Option<bool>; 3] = [None; 3];
+        for len in 0..=MAX_HIST {
+            let key = context_key(len, hist, pc_key);
+            if let Some((t, n)) = p.table.lookup(key) {
+                for (i, &depth) in DEPTHS.iter().enumerate() {
+                    if len <= depth {
+                        predictions[i] = Some(t >= n);
+                    }
+                }
+            }
+            p.table.update(key, taken);
+        }
+        for (miss, pred) in p.misses.iter_mut().zip(predictions) {
+            if pred.unwrap_or(false) != taken {
+                *miss += 1;
+            }
+        }
+    }
+
+    /// The analyzer as it was before the fused probe and the merged
+    /// per-PC map: separate last-outcome and local-history maps feeding
+    /// [`observe_two_pass`].
+    struct Reference {
+        branches: u64,
+        taken: u64,
+        transitions: u64,
+        with_history: u64,
+        last_outcome: FxHashMap<u64, bool>,
+        global_hist: u64,
+        local_hist: FxHashMap<u64, u64>,
+        predictors: [PpmPredictor; 4],
+    }
+
+    impl Reference {
+        fn new() -> Self {
+            Reference {
+                branches: 0,
+                taken: 0,
+                transitions: 0,
+                with_history: 0,
+                last_outcome: FxHashMap::default(),
+                global_hist: 0,
+                local_hist: FxHashMap::default(),
+                predictors: BranchAnalyzer::new().predictors,
+            }
+        }
+
+        fn observe(&mut self, rec: &InstRecord) {
+            let Some(branch) = rec.branch.filter(|b| b.conditional) else {
+                return;
+            };
+            let (pc, taken) = (rec.pc, branch.taken);
+            self.branches += 1;
+            self.taken += taken as u64;
+            if let Some(prev) = self.last_outcome.insert(pc, taken) {
+                self.with_history += 1;
+                if prev != taken {
+                    self.transitions += 1;
+                }
+            }
+            let local = self.local_hist.entry(pc).or_insert(0);
+            let local_before = *local;
+            *local = ((*local << 1) | taken as u64) & ((1 << MAX_HIST) - 1);
+            let global_before = self.global_hist;
+            self.global_hist = ((self.global_hist << 1) | taken as u64) & ((1 << MAX_HIST) - 1);
+            for p in &mut self.predictors {
+                let hist = if p.local_history {
+                    local_before
+                } else {
+                    global_before
+                };
+                observe_two_pass(p, pc, hist, taken);
+            }
+        }
+
+        fn emit(&self) -> Vec<u64> {
+            let denom = self.branches.max(1) as f64;
+            let mut out = vec![
+                self.transitions as f64 / self.with_history.max(1) as f64,
+                self.taken as f64 / denom,
+            ];
+            for p in &self.predictors {
+                out.extend(p.misses.iter().map(|&m| m as f64 / denom));
+            }
+            out.into_iter().map(f64::to_bits).collect()
+        }
+
+        fn reset(&mut self) {
+            self.branches = 0;
+            self.taken = 0;
+            self.transitions = 0;
+            self.with_history = 0;
+            self.last_outcome.clear();
+            self.global_hist = 0;
+            self.local_hist.clear();
+            for p in &mut self.predictors {
+                p.reset();
+            }
+        }
+    }
+
+    fn emit_bits(a: &BranchAnalyzer) -> Vec<u64> {
+        emit(a).into_iter().map(f64::to_bits).collect()
+    }
+
+    /// A SplitMix64 step, for generated streams.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        mix64(*state)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn fused_probe_is_bit_identical_to_two_pass(
+            seed in 0u64..u64::MAX,
+            pcs in 1u64..48,
+            interval in 1u64..1500,
+        ) {
+            // Each static branch follows its own short period with
+            // occasional random flips; some are unconditional jumps.
+            let mut state = seed;
+            let periods: Vec<u64> = (0..pcs).map(|_| 1 + next(&mut state) % 9).collect();
+            let mut fused = BranchAnalyzer::new();
+            let mut reference = Reference::new();
+            for i in 0..4000u64 {
+                if i > 0 && i % interval == 0 {
+                    proptest::prop_assert_eq!(emit_bits(&fused), reference.emit());
+                    fused.reset();
+                    reference.reset();
+                }
+                let r = next(&mut state);
+                let pc_index = r % pcs;
+                let taken = if r >> 60 == 0 {
+                    (r >> 40) & 1 == 1
+                } else {
+                    i % periods[pc_index as usize] == 0
+                };
+                let rec = InstRecord::new(0x400 + 4 * pc_index, InstClass::CondBranch)
+                    .with_branch(BranchInfo {
+                        taken,
+                        target: 0,
+                        conditional: (r >> 32) & 15 != 0,
+                    });
+                fused.observe(&rec, i % interval);
+                reference.observe(&rec);
+            }
+            proptest::prop_assert_eq!(emit_bits(&fused), reference.emit());
+        }
+    }
+
+    #[test]
+    fn lookups_precede_updates_when_two_contexts_share_a_slot() {
+        // Find a branch whose contexts of lengths `a < b` (with `b` a
+        // PPM depth) share a slot under history `h`, and whose other
+        // contexts, under `h` and under `h` with bit `b - 1` flipped,
+        // collide nowhere else.
+        let h = 0b1010_0110_1101;
+        let slots = |pc: u64, hist: u64| -> Vec<usize> {
+            (0..=MAX_HIST)
+                .map(|len| PpmTable::slot(context_key(len, hist, pc)))
+                .collect()
+        };
+        let (pc, b) = (0u64..)
+            .map(|i| 4 * i)
+            .find_map(|pc| {
+                let under_h = slots(pc, h);
+                DEPTHS.iter().find_map(|&b| {
+                    let mut all = under_h.clone();
+                    all.extend(slots(pc, h ^ (1 << (b - 1)))[b as usize..].iter());
+                    let shared = under_h[b as usize];
+                    let collides = under_h[..b as usize].contains(&shared);
+                    all.sort_unstable();
+                    all.dedup();
+                    // Only the one pair may collide: 13 + (13 - b) - 1
+                    // distinct slots.
+                    (collides && all.len() == 2 * CONTEXTS - b as usize - 1).then_some((pc, b))
+                })
+            })
+            .expect("some branch has a colliding pair");
+        let depth = DEPTHS.iter().position(|&d| d == b).unwrap();
+
+        // Shorter contexts learn not-taken under the sibling history;
+        // then the branch is taken once under `h`, which leaves the
+        // shared slot holding context `b`. The last probe under `h`
+        // must read that entry before context `a` evicts it.
+        let steps = [
+            (h ^ (1 << (b - 1)), false),
+            (h ^ (1 << (b - 1)), false),
+            (h ^ (1 << (b - 1)), false),
+            (h, true),
+            (h, true),
+        ];
+        let run = |observe: fn(&mut PpmPredictor, u64, u64, bool)| {
+            let mut p = PpmPredictor::new(false, true);
+            for (hist, taken) in steps {
+                observe(&mut p, pc, hist, taken);
+            }
+            p.misses
+        };
+        let reference = run(observe_two_pass);
+        assert_eq!(run(PpmPredictor::observe), reference);
+        let interleaved = run(observe_interleaved);
+        assert_eq!(
+            interleaved[depth],
+            reference[depth] + 1,
+            "pc {pc:#x}, b {b}"
+        );
     }
 
     #[test]

@@ -6,7 +6,21 @@ use crate::features::{FeatureVector, ILP_BASE};
 use crate::Analyzer;
 
 /// The four idealized-processor window sizes of the characterization.
+///
+/// Each is a power of two, so the ring slot of instruction `index` is
+/// `index & (size - 1)`, which equals `index % size` without a divide.
 pub const ILP_WINDOWS: [usize; 4] = [32, 64, 128, 256];
+
+const _: () = {
+    let mut i = 0;
+    while i < ILP_WINDOWS.len() {
+        assert!(
+            ILP_WINDOWS[i].is_power_of_two(),
+            "ILP windows must be powers of two"
+        );
+        i += 1;
+    }
+};
 
 /// Computes the IPC achievable on an idealized processor — perfect caches,
 /// perfect branch prediction, unit-latency functional units, register
@@ -46,7 +60,8 @@ pub struct IlpAnalyzer {
 
 #[derive(Debug, Clone)]
 struct WindowState {
-    size: usize,
+    /// Window size minus one: the ring-slot mask.
+    mask: usize,
     /// Completion cycle of each architectural register's latest producer.
     reg_ready: [u64; NUM_ARCH_REGS],
     /// Ring buffer of completion cycles of the last `size` instructions.
@@ -58,7 +73,7 @@ struct WindowState {
 impl WindowState {
     fn new(size: usize) -> Self {
         WindowState {
-            size,
+            mask: size - 1,
             reg_ready: [0; NUM_ARCH_REGS],
             ring: vec![0; size],
             horizon: 0,
@@ -67,7 +82,7 @@ impl WindowState {
 
     #[inline]
     fn observe(&mut self, reads: RegReads, write: Option<ArchReg>, index: u64) {
-        let slot = (index as usize) % self.size;
+        let slot = index as usize & self.mask;
         // Window constraint: the instruction `size` earlier must have
         // completed before this one can occupy its slot.
         let mut start = self.ring[slot];
@@ -219,6 +234,71 @@ mod tests {
     fn empty_interval_emits_zero() {
         let ilp = IlpAnalyzer::new();
         assert_eq!(emit(&ilp), vec![0.0; 4]);
+    }
+
+    /// The window step as it was before the mask: the ring slot is
+    /// `index % size`.
+    fn observe_modulo(w: &mut WindowState, reads: RegReads, write: Option<ArchReg>, index: u64) {
+        let slot = (index as usize) % w.ring.len();
+        let mut start = w.ring[slot];
+        for r in reads.iter() {
+            start = start.max(w.reg_ready[r.index()]);
+        }
+        let completion = start + 1;
+        w.ring[slot] = completion;
+        if let Some(w_reg) = write {
+            w.reg_ready[w_reg.index()] = completion;
+        }
+        w.horizon = w.horizon.max(completion);
+    }
+
+    fn bits(ilp: &IlpAnalyzer) -> Vec<u64> {
+        emit(ilp).into_iter().map(f64::to_bits).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn masked_window_is_bit_identical_to_modulo(
+            seed in 0u64..u64::MAX,
+            regs in 1u8..32,
+            interval in 1u64..3000,
+            offset in 0u64..(1 << 40),
+        ) {
+            // Random operands over a few registers (dense dependences)
+            // or many (sparse ones), with the in-interval index offset
+            // to far beyond every window size.
+            let mut state = seed;
+            let mut masked = IlpAnalyzer::new();
+            let mut reference = IlpAnalyzer::new();
+            for i in 0..5000u64 {
+                if i > 0 && i % interval == 0 {
+                    proptest::prop_assert_eq!(bits(&masked), bits(&reference));
+                    masked.reset();
+                    reference.reset();
+                }
+                let mut draw = || {
+                    state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                    crate::fxhash::mix64(state)
+                };
+                let r = draw();
+                let reg = |x: u64| {
+                    let n = (x % u64::from(regs)) as u8;
+                    if x & 0x100 == 0 { ArchReg::int(n) } else { ArchReg::fp(n) }
+                };
+                let reads: Vec<ArchReg> = (0..r % 4).map(|k| reg(r >> (8 * k + 4))).collect();
+                let write = (r >> 62 != 0).then(|| reg(draw()));
+                let reads = RegReads::from_slice(&reads);
+                let index = offset + i % interval;
+                masked.observe_ops(reads, write, index);
+                for w in &mut reference.windows {
+                    observe_modulo(w, reads, write, index);
+                }
+                reference.count += 1;
+            }
+            proptest::prop_assert_eq!(bits(&masked), bits(&reference));
+        }
     }
 
     #[test]

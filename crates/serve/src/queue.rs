@@ -28,11 +28,12 @@
 //!
 //! Claims are leased, not owned: the claimer refreshes `<name>.hb`
 //! (heartbeat sidecar) and [`Queue::recover`] returns claims whose
-//! owner died or went silent back to `pending/`. All writes go through
-//! [`phaselab_core::faults`] so the chaos tests can inject torn
+//! owner died or went silent back to `pending/`. All spool reads,
+//! writes, and renames go through the handle's
+//! [`Io`](phaselab_core::faults::Io) so the chaos tests can inject torn
 //! renames and crashed workers at exactly these seams.
 
-use phaselab_core::faults;
+use phaselab_core::faults::Io;
 use phaselab_obs::Json;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -184,6 +185,8 @@ pub struct Queue {
     /// anything less is treated as transient I/O trouble and the claim
     /// is rolled back to `pending/` for a later pass.
     strikes: Mutex<HashMap<String, u32>>,
+    /// The I/O spool reads, writes, and renames go through.
+    io: Io,
 }
 
 /// Per-process sequence counter making same-millisecond submissions
@@ -208,22 +211,36 @@ const READ_RETRIES: u32 = 3;
 const STRIKE_LIMIT: u32 = 3;
 
 impl Queue {
-    /// Opens (creating if needed) the spool at `root` and arms fault
-    /// injection from `PHASELAB_FAULTS` so chaos runs exercise the
-    /// queue's own I/O.
+    /// Opens (creating if needed) the spool at `root`, with fault
+    /// injection from `PHASELAB_FAULTS` (see
+    /// [`Io::from_env`](phaselab_core::faults::Io::from_env)) so chaos
+    /// runs exercise the queue's own I/O.
     ///
     /// # Errors
     ///
     /// Propagates directory-creation failures.
     pub fn open(root: &Path) -> io::Result<Queue> {
-        faults::arm_from_env();
         for sub in ["tmp", "pending", "running", "done"] {
             fs::create_dir_all(root.join(sub))?;
         }
         Ok(Queue {
             root: root.to_path_buf(),
             strikes: Mutex::new(HashMap::new()),
+            io: Io::from_env(),
         })
+    }
+
+    /// The same queue with its spool reads, writes, and renames done
+    /// through `io` — how a chaos test arms one handle without touching
+    /// any other.
+    #[must_use]
+    pub fn with_io(self, io: Io) -> Queue {
+        Queue { io, ..self }
+    }
+
+    /// The I/O this handle's spool operations go through.
+    pub fn io(&self) -> &Io {
+        &self.io
     }
 
     /// The spool root.
@@ -254,9 +271,9 @@ impl Queue {
             let staged = self.dir("tmp").join(&name);
             let published = self.dir("pending").join(&name);
             let attempt = (|| -> io::Result<()> {
-                faults::fs_write(&staged, body.as_bytes())?;
-                faults::fs_rename(&staged, &published)?;
-                let back = faults::fs_read(&published)?;
+                self.io.write(&staged, body.as_bytes())?;
+                self.io.rename(&staged, &published)?;
+                let back = self.io.read(&published)?;
                 let text = String::from_utf8(back)
                     .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "not UTF-8"))?;
                 match JobSpec::parse(&text) {
@@ -301,7 +318,7 @@ impl Queue {
             };
             let from = self.dir("pending").join(&name);
             let to = self.dir("running").join(&name);
-            if faults::fs_rename(&from, &to).is_err() {
+            if self.io.rename(&from, &to).is_err() {
                 continue; // lost the race (or injected fault); next candidate
             }
             self.stamp_heartbeat(&name);
@@ -311,7 +328,9 @@ impl Queue {
             let mut spec = None;
             let mut why = String::new();
             for _ in 0..READ_RETRIES {
-                match faults::fs_read(&to)
+                match self
+                    .io
+                    .read(&to)
                     .map_err(|e| e.to_string())
                     .and_then(|b| String::from_utf8(b).map_err(|_| "not UTF-8".to_string()))
                     .and_then(|t| JobSpec::parse(&t).map_err(|e| e.to_string()))
@@ -350,7 +369,7 @@ impl Queue {
                 *n
             };
             if strikes < STRIKE_LIMIT {
-                if faults::fs_rename(&to, &from).is_ok() {
+                if self.io.rename(&to, &from).is_ok() {
                     let _ = fs::remove_file(self.dir("running").join(format!("{name}.hb")));
                 }
                 // A failed rollback leaves the claim in running/ for
@@ -400,7 +419,7 @@ impl Queue {
         let body = format!("{}\n", std::process::id());
         // A torn heartbeat only delays requeue by one TTL; plain write
         // (no staging dance) is deliberate.
-        let _ = faults::fs_write(&hb, body.as_bytes());
+        let _ = self.io.write(&hb, body.as_bytes());
     }
 
     /// Publishes the completion record and retires the running entry.
@@ -434,9 +453,9 @@ impl Queue {
         let mut last_err = io::Error::other("completion retries exhausted");
         for _ in 0..SUBMIT_RETRIES {
             let attempt = (|| -> io::Result<()> {
-                faults::fs_write(&staged, body.as_bytes())?;
-                faults::fs_rename(&staged, &published)?;
-                let back = faults::fs_read(&published)?;
+                self.io.write(&staged, body.as_bytes())?;
+                self.io.rename(&staged, &published)?;
+                let back = self.io.read(&published)?;
                 let text = String::from_utf8(back)
                     .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "not UTF-8"))?;
                 if CompletionRecord::parse(&claim.name, &text).as_ref() == Some(&record) {
@@ -472,7 +491,7 @@ impl Queue {
     pub fn read_done(&self, name: &str) -> Option<CompletionRecord> {
         let path = self.dir("done").join(name);
         (0..READ_RETRIES).find_map(|_| {
-            let bytes = faults::fs_read(&path).ok()?;
+            let bytes = self.io.read(&path).ok()?;
             CompletionRecord::parse(name, &String::from_utf8(bytes).ok()?)
         })
     }
@@ -531,7 +550,7 @@ impl Queue {
                 continue;
             }
             let hb = running.join(format!("{name}.hb"));
-            let owner_dead = match faults::fs_read(&hb) {
+            let owner_dead = match self.io.read(&hb) {
                 Ok(bytes) => String::from_utf8(bytes)
                     .ok()
                     .and_then(|s| s.trim().parse::<u32>().ok())
@@ -540,7 +559,10 @@ impl Queue {
             };
             let silent = heartbeat_age(&hb, &job).is_none_or(|age| age > ttl);
             if (owner_dead || silent)
-                && faults::fs_rename(&job, &self.dir("pending").join(&name)).is_ok()
+                && self
+                    .io
+                    .rename(&job, &self.dir("pending").join(&name))
+                    .is_ok()
             {
                 let _ = fs::remove_file(&hb);
                 requeued += 1;

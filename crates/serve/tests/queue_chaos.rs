@@ -20,10 +20,11 @@
 //! test binary down. Crashed *workers* are modeled separately: a claim
 //! whose heartbeat names a dead pid, which recovery must requeue.
 //!
-//! Fault injection is process-global, so every test serializes on one
-//! mutex and disarms before asserting.
+//! Faults belong to a queue handle, not the process: each storm drives
+//! a faulty handle and checks the outcome through a plain one over the
+//! same spool, and concurrent tests never see each other's faults.
 
-use phaselab_core::faults::{self, FaultPlan};
+use phaselab_core::faults::{FaultPlan, Io};
 use phaselab_core::CancelToken;
 use phaselab_serve::{results_dir, serve, JobContext, JobSpec, JobStatus, Queue, ServeConfig};
 use proptest::prelude::*;
@@ -33,9 +34,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
-
-/// Serializes tests sharing the process-global fault injector.
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 /// Unique scratch directory per test case.
 fn scratch(tag: &str) -> PathBuf {
@@ -130,9 +128,7 @@ proptest! {
         batch in 1usize..8,
     ) {
         let job_seeds = &all_seeds[..batch.min(all_seeds.len())];
-        let _guard = FAULT_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let root = scratch("storm");
-        let queue = Queue::open(&root).expect("open queue");
 
         // Torn writes, failed renames, interrupted and short reads on
         // every spool seam. `max=` caps total injections so retry
@@ -140,14 +136,15 @@ proptest! {
         let plan = format!(
             "seed={fault_seed},torn=0.15,rename=0.15,eintr=0.08,shortread=0.08,max=64"
         );
-        faults::arm(FaultPlan::parse(&plan).expect("parse plan"));
+        let plan = FaultPlan::parse(&plan).expect("parse plan");
+        let faulty = Queue::open(&root).expect("open queue").with_io(Io::faulty(plan));
 
         // Submit with retries: submit() itself verifies its publish and
         // may exhaust its internal attempts under a dense fault run.
         let mut submitted: Vec<(String, JobSpec)> = Vec::new();
         for &seed in job_seeds {
             let sp = spec(seed);
-            let name = (0..10).find_map(|_| queue.submit(&sp).ok());
+            let name = (0..10).find_map(|_| faulty.submit(&sp).ok());
             prop_assert!(name.is_some(), "submission never acknowledged");
             submitted.push((name.unwrap(), sp));
         }
@@ -164,9 +161,9 @@ proptest! {
             Ok(ctx.results_dir.display().to_string())
         };
 
-        let settled = serve_until_settled(&queue, &runner);
-        let injected = faults::current().map_or(0, |i| i.injected());
-        faults::disarm();
+        let settled = serve_until_settled(&faulty, &runner);
+        let injected = faulty.io().injected();
+        let queue = Queue::open(&root).expect("open queue").with_io(Io::plain());
         prop_assert!(settled, "queue never drained");
         TOTAL_INJECTED.fetch_add(injected, Ordering::Relaxed);
         if CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == u64::from(STORM_CASES) {
@@ -213,12 +210,8 @@ proptest! {
 
 #[test]
 fn crashed_worker_claim_is_requeued_and_runs_exactly_once() {
-    let _guard = FAULT_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    faults::disarm();
     let root = scratch("crash");
-    let queue = Queue::open(&root).expect("open queue");
+    let queue = Queue::open(&root).expect("open queue").with_io(Io::plain());
 
     // Two identical submissions; a worker claims the first and then
     // "crashes" — modeled by rewriting its heartbeat to a pid that

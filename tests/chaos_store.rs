@@ -3,40 +3,21 @@
 //! must all degrade to warn-and-recompute — never a panic, never a
 //! frame a reader mistakes for valid data.
 //!
-//! The injector is process-global (it models a faulty filesystem, not
-//! a faulty caller), so every test here serializes on one mutex and
-//! disarms before returning, even on panic.
+//! Faults belong to a store handle, not the process: each test arms a
+//! second handle over its own directory and drives the faulty steps
+//! through it, while the clean steps use the plain handle. Tests
+//! running concurrently in this binary therefore never see each
+//! other's faults.
 
-use std::sync::{Mutex, MutexGuard};
-
-use phaselab::core::faults::{self, FaultPlan};
+use phaselab::core::faults::{FaultPlan, Io};
 use phaselab::core::{BenchCharacterization, BenchOutcome, CheckpointStore};
 use phaselab::mica::{FeatureVector, NUM_FEATURES};
 use phaselab::Suite;
 
-/// Serializes the tests in this file: the fault injector is global
-/// state, and two tests arming different plans concurrently would see
-/// each other's faults.
-static INJECTOR_LOCK: Mutex<()> = Mutex::new(());
-
-/// A guard that disarms the injector when dropped, so a failing
-/// assertion in one test cannot leak faults into the next.
-struct Armed(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Armed {
-    fn new(spec: &str) -> Armed {
-        let guard = INJECTOR_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        faults::arm(FaultPlan::parse(spec).expect("valid spec"));
-        Armed(guard)
-    }
-}
-
-impl Drop for Armed {
-    fn drop(&mut self) {
-        faults::disarm();
-    }
+/// A handle on `store`'s directory whose I/O injects faults per `spec`.
+fn armed(store: &CheckpointStore, spec: &str) -> CheckpointStore {
+    let plan = FaultPlan::parse(spec).expect("valid spec");
+    store.clone().with_io(Io::faulty(plan))
 }
 
 fn temp_store(tag: &str) -> (CheckpointStore, std::path::PathBuf) {
@@ -69,11 +50,13 @@ fn torn_writes_never_surface_as_valid_data() {
     let (store, dir) = temp_store("torn");
     let fp = 0xFEED;
     {
-        let _armed = Armed::new("seed=3,torn=1.0");
-        store.store_benchmark(fp, Suite::Bmw, "torn-bench", &outcome(1.0));
+        let chaotic = armed(&store, "seed=3,torn=1.0");
+        chaotic.store_benchmark(fp, Suite::Bmw, "torn-bench", &outcome(1.0));
         // Every write was torn: the loader must classify the prefix as
         // damage and recompute, not decode garbage.
-        assert!(store.load_benchmark(fp, Suite::Bmw, "torn-bench").is_none());
+        assert!(chaotic
+            .load_benchmark(fp, Suite::Bmw, "torn-bench")
+            .is_none());
     }
     // Disarmed, the same slot repairs cleanly.
     store.store_benchmark(fp, Suite::Bmw, "torn-bench", &outcome(2.0));
@@ -89,9 +72,11 @@ fn enospc_leaves_no_file_behind() {
     let (store, dir) = temp_store("enospc");
     let fp = 0xD15C;
     {
-        let _armed = Armed::new("seed=5,enospc=1.0");
-        store.store_benchmark(fp, Suite::Bmw, "full-disk", &outcome(1.0));
-        assert!(store.load_benchmark(fp, Suite::Bmw, "full-disk").is_none());
+        let chaotic = armed(&store, "seed=5,enospc=1.0");
+        chaotic.store_benchmark(fp, Suite::Bmw, "full-disk", &outcome(1.0));
+        assert!(chaotic
+            .load_benchmark(fp, Suite::Bmw, "full-disk")
+            .is_none());
     }
     // The failed write is invisible: no checkpoint file, no tmp file
     // masquerading as one.
@@ -105,9 +90,9 @@ fn failed_renames_are_recovered_after_disarm() {
     let (store, dir) = temp_store("rename");
     let fp = 0x4E4E;
     {
-        let _armed = Armed::new("seed=9,rename=1.0");
-        store.store_benchmark(fp, Suite::Bmw, "rn", &outcome(1.0));
-        assert!(store.load_benchmark(fp, Suite::Bmw, "rn").is_none());
+        let chaotic = armed(&store, "seed=9,rename=1.0");
+        chaotic.store_benchmark(fp, Suite::Bmw, "rn", &outcome(1.0));
+        assert!(chaotic.load_benchmark(fp, Suite::Bmw, "rn").is_none());
     }
     store.store_benchmark(fp, Suite::Bmw, "rn", &outcome(3.0));
     let loaded = store
@@ -125,8 +110,8 @@ fn eintr_storm_exhausts_the_retry_budget_gracefully() {
     {
         // Every read is interrupted, forever: the bounded retry loop
         // must give up and classify the slot as recompute, not spin.
-        let _armed = Armed::new("seed=11,eintr=1.0");
-        assert!(store.load_benchmark(fp, Suite::Bmw, "eintr").is_none());
+        let chaotic = armed(&store, "seed=11,eintr=1.0");
+        assert!(chaotic.load_benchmark(fp, Suite::Bmw, "eintr").is_none());
     }
     // The file itself was never damaged; it loads once the storm ends.
     let loaded = store
@@ -144,8 +129,8 @@ fn bounded_retries_outlast_a_bounded_eintr_burst() {
     {
         // Two injected EINTRs, then the filesystem behaves: the retry
         // loop (budget 3) must ride out the burst and return the data.
-        let _armed = Armed::new("seed=13,eintr=1.0,max=2");
-        let loaded = store
+        let chaotic = armed(&store, "seed=13,eintr=1.0,max=2");
+        let loaded = chaotic
             .load_benchmark(fp, Suite::Bmw, "burst")
             .expect("retries outlast the burst");
         assert!((first_value(&loaded) - 7.0).abs() < 1e-12);
@@ -159,8 +144,8 @@ fn short_reads_are_retried_then_classified_as_damage() {
     let fp = 0x5404;
     store.store_benchmark(fp, Suite::Bmw, "sr", &outcome(4.0));
     {
-        let _armed = Armed::new("seed=17,shortread=1.0");
-        assert!(store.load_benchmark(fp, Suite::Bmw, "sr").is_none());
+        let chaotic = armed(&store, "seed=17,shortread=1.0");
+        assert!(chaotic.load_benchmark(fp, Suite::Bmw, "sr").is_none());
     }
     // A short read truncates the returned bytes, not the file.
     let loaded = store
@@ -176,18 +161,25 @@ fn mixed_low_probability_chaos_converges_to_a_full_store() {
     let fp = 0x1357;
     let names: Vec<String> = (0..16).map(|i| format!("bench-{i}")).collect();
     {
-        let _armed = Armed::new("seed=21,torn=0.3,enospc=0.2,rename=0.2,eintr=0.2,shortread=0.2");
+        let chaotic = armed(
+            &store,
+            "seed=21,torn=0.3,enospc=0.2,rename=0.2,eintr=0.2,shortread=0.2",
+        );
         // Write-until-readable, exactly the study's recompute loop: a
         // slot whose write was eaten by a fault is simply written again
         // next round.
         for (i, name) in names.iter().enumerate() {
             for _attempt in 0..64 {
-                if store.load_benchmark(fp, Suite::Bmw, name).is_some() {
+                if chaotic.load_benchmark(fp, Suite::Bmw, name).is_some() {
                     break;
                 }
-                store.store_benchmark(fp, Suite::Bmw, name, &outcome(i as f64));
+                chaotic.store_benchmark(fp, Suite::Bmw, name, &outcome(i as f64));
             }
         }
+        assert!(
+            chaotic.io().injected() > 0,
+            "the mixed storm fired no fault"
+        );
     }
     for (i, name) in names.iter().enumerate() {
         let loaded = store
