@@ -1,50 +1,9 @@
 //! `repro` — regenerates every table and figure of Hoste & Eeckhout
 //! (ISPASS 2008) from the `phaselab` reproduction.
 //!
-//! ```text
-//! repro [options] <experiment>
-//!
-//! experiments:
-//!   table1             the 69 characteristics by category (Table 1)
-//!   table2             GA-selected key characteristics (Table 2)
-//!   table3             benchmarks and interval counts (Table 3)
-//!   fig1               GA correlation vs #characteristics (Figure 1)
-//!   fig23              kiviat + pie plots of the prominent phases (Figures 2-3)
-//!   fig4               workload-space coverage per suite (Figure 4)
-//!   fig5               cumulative coverage per suite (Figure 5)
-//!   fig6               unique-behavior fraction per suite (Figure 6)
-//!   motivation         aggregate vs phase-level characterization (§2.1)
-//!   implications       simulation-point counts per suite (§5.3)
-//!   simpoints          per-benchmark SimPoint accuracy (related work)
-//!   benchmarks         per-benchmark coverage and specificity
-//!   drift              CPU2000 -> CPU2006 benchmark drift
-//!   similarity         benchmark-similarity heatmap + dendrogram cut
-//!   ablation-k         coverage/variability trade-off across k (§2.6)
-//!   ablation-interval  interval-granularity sensitivity (§2.9)
-//!   ablation-sampling  equal-weight vs proportional sampling (§2.4)
-//!   all                everything above, sharing one study run
-//!
-//! options:
-//!   --scale tiny|small|full   workload scale        (default: full)
-//!   --interval N              interval length       (default: 100000)
-//!   --samples N               samples per benchmark (default: 200)
-//!   --k N                     clusters              (default: 300)
-//!   --seed N                  master seed           (default: 0)
-//!   --threads N               worker threads        (default: all cores)
-//!   --engine block|inst       VM execution engine   (default: block)
-//!   --suites LIST             restrict the study to these suites (comma-separated)
-//!   --only LIST               restrict the study to these benchmark names
-//!   --checkpoint-dir DIR      persist/reuse study checkpoints in DIR
-//!   --resume                  resume from --checkpoint-dir (must exist)
-//!   --max-inst-per-bench N    quarantine benchmarks exceeding N instructions
-//!   --no-static-analysis      skip the static pre-flight (budgets, pruning,
-//!                             shard ordering, static_analysis section)
-//!   --metrics-out PATH        write the run manifest (JSON) to PATH
-//!   --progress                throttled stage/progress lines on stderr
-//!   --verify-only             statically verify every registry program, run nothing
-//!   --json                    machine-readable diagnostics (lint/--verify-only)
-//!   --help                    print usage and exit
-//! ```
+//! `repro [options] <experiment>`; `repro --help` prints the full list
+//! of experiments, options, diagnostics, and service commands (the
+//! `USAGE` constant below is the one copy).
 //!
 //! `--verify-only` is a lint mode: it builds every registry program at
 //! the requested `--scale`, runs `Program::verify_all` on each, prints
@@ -1037,15 +996,6 @@ fn open_queue(cli: &Cli) -> Result<phaselab_serve::Queue, i32> {
     })
 }
 
-/// `PHASELAB_SERVE_TIMEOUT_MS`: per-job wall-clock budget for the
-/// serve loop's watchdog; unset means unbounded.
-fn serve_timeout_from_env() -> Option<std::time::Duration> {
-    std::env::var("PHASELAB_SERVE_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(std::time::Duration::from_millis)
-}
-
 /// `repro serve`: runs the job server over the spool directory until
 /// interrupted (or until the queue drains, with `--drain`).
 fn cmd_serve(cli: &Cli) -> i32 {
@@ -1061,7 +1011,9 @@ fn cmd_serve(cli: &Cli) -> i32 {
     let scfg = phaselab_serve::ServeConfig {
         jobs: cli.jobs_budget,
         drain: cli.drain,
-        job_timeout: serve_timeout_from_env(),
+        // Per-job wall-clock budget; unset (or 0) means unbounded.
+        job_timeout: phaselab_core::lease::env_knob("PHASELAB_SERVE_TIMEOUT_MS")
+            .map(std::time::Duration::from_millis),
         ..phaselab_serve::ServeConfig::default()
     };
     eprintln!(
@@ -1100,32 +1052,22 @@ fn run_served_job(
     spec: &phaselab_serve::JobSpec,
     ctx: &phaselab_serve::JobContext,
 ) -> Result<String, String> {
-    use std::process::{Command, Stdio};
+    use phaselab_bench::supervise::{spawn_repro, stop};
     // Hold a pin on the study's checkpoints so a concurrent `cache gc`
     // cannot evict entries out from under the child.
     let _pin = pin_spec(spec, &ctx.store_dir);
-    let exe = std::env::current_exe().map_err(|e| format!("cannot locate repro binary: {e}"))?;
     std::fs::create_dir_all(&ctx.results_dir).map_err(|e| e.to_string())?;
     let report_tmp = ctx.results_dir.join("report.txt.tmp");
     let report_out =
         std::fs::File::create(&report_tmp).map_err(|e| format!("cannot stage report file: {e}"))?;
-    let mut cmd = Command::new(exe);
-    cmd.args(spec.argv())
-        .arg("--checkpoint-dir")
-        .arg(&ctx.store_dir)
-        .arg("--metrics-out")
-        .arg(ctx.results_dir.join("manifest.json"))
-        .stdin(Stdio::null())
-        .stdout(Stdio::from(report_out));
-    // Faults aimed at the server (queue I/O) must not re-arm inside
-    // every study child; `PHASELAB_FAULTS_WORKER` opts children in,
-    // mirroring the supervisor's convention.
-    cmd.env_remove("PHASELAB_FAULTS");
-    if let Ok(plan) = std::env::var("PHASELAB_FAULTS_WORKER") {
-        cmd.env("PHASELAB_FAULTS", plan);
-    }
-    let mut child = cmd
-        .spawn()
+    let mut args: Vec<std::ffi::OsString> = spec.argv().into_iter().map(Into::into).collect();
+    args.extend([
+        "--checkpoint-dir".into(),
+        ctx.store_dir.clone().into(),
+        "--metrics-out".into(),
+        ctx.results_dir.join("manifest.json").into(),
+    ]);
+    let mut child = spawn_repro(&args, report_out.into())
         .map_err(|e| format!("cannot spawn job child: {e}"))?;
     loop {
         match child.try_wait() {
@@ -1143,8 +1085,7 @@ fn run_served_job(
         }
         let timed_out = ctx.deadline.is_some_and(|d| std::time::Instant::now() >= d);
         if ctx.cancel.is_cancelled() || timed_out {
-            phaselab_bench::supervise::terminate(&mut child);
-            let _ = child.wait();
+            stop([&mut child]);
             let _ = std::fs::remove_file(&report_tmp);
             return Err(if timed_out {
                 "job exceeded its wall-clock budget".to_string()

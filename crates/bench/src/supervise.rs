@@ -17,12 +17,17 @@
 //! shard's lease heartbeat (written by the worker every quarter-TTL)
 //! catches frozen ones — a live process whose heartbeat has gone stale
 //! past twice the TTL is killed and treated as a failed attempt.
+//!
+//! This module also owns the one way `repro` runs a child `repro`
+//! ([`spawn_repro`], [`stop`]): supervised shard workers and the serve
+//! loop's study jobs both go through it.
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use phaselab_core::{lease, CancelToken, StudyError};
+use phaselab_core::lease::{self, Sighting};
+use phaselab_core::{CancelToken, StudyError};
 
 /// Everything the supervision loop needs, resolved once up front.
 #[derive(Debug, Clone)]
@@ -52,22 +57,13 @@ impl SuperviseConfig {
     /// `PHASELAB_SUPERVISE_TIMEOUT_MS` (default 600000), and the lease
     /// TTL from `PHASELAB_LEASE_TTL_MS`.
     pub fn from_env(shards: u32, store_dir: PathBuf, worker_args: Vec<String>, seed: u64) -> Self {
-        let env_u64 = |name: &str, default: u64| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|&v| v > 0)
-                .unwrap_or(default)
-        };
+        let knob = |name: &str, default: u64| lease::env_knob(name).unwrap_or(default);
         SuperviseConfig {
             shards,
             store_dir,
             worker_args,
-            max_restarts: env_u64("PHASELAB_SUPERVISE_MAX_RESTARTS", 5) as u32,
-            attempt_timeout: Duration::from_millis(env_u64(
-                "PHASELAB_SUPERVISE_TIMEOUT_MS",
-                600_000,
-            )),
+            max_restarts: knob("PHASELAB_SUPERVISE_MAX_RESTARTS", 5) as u32,
+            attempt_timeout: Duration::from_millis(knob("PHASELAB_SUPERVISE_TIMEOUT_MS", 600_000)),
             lease_ttl: lease::default_ttl(),
             seed,
         }
@@ -115,13 +111,42 @@ fn backoff(seed: u64, shard: u32, attempt: u32) -> Duration {
     Duration::from_millis(exp + jitter)
 }
 
-/// Sends the polite signal first (SIGTERM on unix, so the worker can
-/// flush checkpoints and release its lease), escalating to a hard kill
-/// if unavailable. Public because the serve loop's job runner retires
-/// timed-out and cancelled study children the same way.
-pub fn terminate(child: &mut Child) {
-    #[cfg(unix)]
-    {
+/// How long [`stop`] waits after SIGTERM before it hard-kills.
+const STOP_GRACE: Duration = Duration::from_secs(3);
+
+/// Spawns this executable as a child `repro` with `args`, no stdin, the
+/// given stdout, and the parent's stderr. The child's `PHASELAB_FAULTS`
+/// comes only from `PHASELAB_FAULTS_WORKER`, and is removed otherwise:
+/// chaos can be aimed at children while the parent's own store and
+/// queue I/O (its reduce, salvage, or serve loop) stays clean.
+///
+/// # Errors
+///
+/// Whatever locating the executable or spawning it produced.
+pub fn spawn_repro<I, S>(args: I, stdout: Stdio) -> std::io::Result<Child>
+where
+    I: IntoIterator<Item = S>,
+    S: AsRef<std::ffi::OsStr>,
+{
+    let mut cmd = Command::new(std::env::current_exe()?);
+    cmd.args(args)
+        .stdin(Stdio::null())
+        .stdout(stdout)
+        .env_remove("PHASELAB_FAULTS");
+    if let Ok(plan) = std::env::var("PHASELAB_FAULTS_WORKER") {
+        cmd.env("PHASELAB_FAULTS", plan);
+    }
+    cmd.spawn()
+}
+
+/// Stops children politely, then firmly: SIGTERM to each (so a worker
+/// can flush checkpoints and release its lease), one shared grace
+/// period for all of them to exit, then SIGKILL for the stragglers, and
+/// every child reaped.
+pub fn stop<'a>(children: impl IntoIterator<Item = &'a mut Child>) {
+    let mut children: Vec<&mut Child> = children.into_iter().collect();
+    for child in &mut children {
+        #[cfg(unix)]
         let delivered = Command::new("kill")
             .arg("-TERM")
             .arg(child.id().to_string())
@@ -129,28 +154,27 @@ pub fn terminate(child: &mut Child) {
             .stderr(Stdio::null())
             .status()
             .is_ok_and(|s| s.success());
-        if delivered {
-            return;
+        #[cfg(not(unix))]
+        let delivered = false;
+        if !delivered {
+            let _ = child.kill();
         }
     }
-    let _ = child.kill();
+    let deadline = Instant::now() + STOP_GRACE;
+    for child in children {
+        while child.try_wait().ok().flatten().is_none() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let _ = child.kill();
+        let _ = child.wait();
+    }
 }
 
-/// Spawns the worker for one shard. The child inherits stdio (its
-/// diagnostics interleave on stderr; shard workers write nothing to
-/// stdout) and — when `PHASELAB_FAULTS_WORKER` is set — gets it as its
-/// `PHASELAB_FAULTS`, so chaos can be aimed at workers while the
-/// supervisor's own reduce pass stays clean.
+/// Spawns the worker for one shard. Its diagnostics interleave on the
+/// supervisor's stderr; shard workers write nothing to stdout.
 fn spawn_worker(sup: &SuperviseConfig, shard: u32) -> std::io::Result<Child> {
-    let exe = std::env::current_exe()?;
-    let mut cmd = Command::new(exe);
-    cmd.args(&sup.worker_args)
-        .arg("--shard")
-        .arg(format!("{shard}/{}", sup.shards));
-    if let Ok(spec) = std::env::var("PHASELAB_FAULTS_WORKER") {
-        cmd.env("PHASELAB_FAULTS", spec);
-    }
-    cmd.spawn()
+    let shard_arg = ["--shard".to_string(), format!("{shard}/{}", sup.shards)];
+    spawn_repro(sup.worker_args.iter().chain(&shard_arg), Stdio::inherit())
 }
 
 /// Runs the supervision loop: spawn every shard worker, restart
@@ -241,24 +265,14 @@ where
                             let reason = if started.elapsed() > sup.attempt_timeout {
                                 Some("timed out".to_string())
                             } else if started.elapsed() > sup.lease_ttl * 2
-                                && lease::read_lease(&sup.store_dir, shard).is_some_and(|l| {
-                                    l.pid == child.id() && l.is_stale(sup.lease_ttl * 2)
-                                })
+                                && frozen(sup, shard, child)
                             {
                                 Some("heartbeat stale (worker frozen)".to_string())
                             } else {
                                 None
                             };
                             if let Some(reason) = reason {
-                                terminate(child);
-                                let deadline = Instant::now() + Duration::from_secs(2);
-                                while child.try_wait().ok().flatten().is_none()
-                                    && Instant::now() < deadline
-                                {
-                                    std::thread::sleep(Duration::from_millis(20));
-                                }
-                                let _ = child.kill();
-                                let _ = child.wait();
+                                stop([&mut *child]);
                                 let attempt = *attempt;
                                 *state = failed_attempt(sup, &mut report, shard, attempt, &reason);
                             }
@@ -308,6 +322,14 @@ where
     Ok(report)
 }
 
+/// Whether the shard's lease names this (live) worker yet has not been
+/// rewritten for twice the TTL: the process runs, its heartbeat does
+/// not.
+fn frozen(sup: &SuperviseConfig, shard: u32, child: &Child) -> bool {
+    let seen = Sighting::read(&lease::lease_path(&sup.store_dir, shard));
+    seen.owner.is_some_and(|o| o.pid == child.id()) && seen.abandoned(Some(sup.lease_ttl * 2))
+}
+
 /// Records one failed attempt: restart with backoff while budget
 /// remains, otherwise declare the shard dead.
 fn failed_attempt(
@@ -340,24 +362,12 @@ fn failed_attempt(
     }
 }
 
-/// Cancellation path: SIGTERM every running worker, give the cohort a
-/// short grace window to flush, then hard-kill the stragglers.
+/// Cancellation path: stop every running worker as one cohort.
 fn shutdown_workers(states: &mut [ShardState]) {
-    for state in states.iter_mut() {
-        if let ShardState::Running { child, .. } = state {
-            terminate(child);
-        }
-    }
-    let deadline = Instant::now() + Duration::from_secs(3);
-    for state in states.iter_mut() {
-        if let ShardState::Running { child, .. } = state {
-            while child.try_wait().ok().flatten().is_none() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
+    stop(states.iter_mut().filter_map(|state| match state {
+        ShardState::Running { child, .. } => Some(child),
+        _ => None,
+    }));
 }
 
 #[cfg(test)]

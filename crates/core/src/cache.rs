@@ -19,9 +19,10 @@
 //!   every hit, so a warm entry survives a cold one of the same age.
 //! * **Pinning** ([`ResultCache::pin`]): a job server (or any caller)
 //!   pins a characterization fingerprint while a study is in flight;
-//!   `gc` never evicts pinned fingerprints. Pins record the owning pid
-//!   and are broken automatically once that process is gone, so a
-//!   crashed owner cannot pin the cache full forever.
+//!   `gc` never evicts pinned fingerprints. Each guard owns its own pin
+//!   file holding a [`lease::Owner`] record, broken automatically once
+//!   the owning process is gone, so a crashed owner cannot pin the
+//!   cache full forever.
 //!
 //! Concurrent `gc` passes from different processes are serialized with
 //! the same `O_EXCL` mutation-lock protocol the lease module uses
@@ -35,11 +36,12 @@
 
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::SystemTime;
 
 use crate::checkpoint::CheckpointStore;
-use crate::lease;
+use crate::lease::{self, Owner, Sighting};
 
 /// What kind of payload a cache entry holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,18 +151,20 @@ impl ResultCache {
     }
 
     /// Pins `fingerprint` against eviction for the guard's lifetime.
-    /// Multiple processes may pin the same fingerprint; each holds its
-    /// own pin file.
+    /// Any number of guards — across processes, or several jobs in one
+    /// process — may pin the same fingerprint; each owns its own pin
+    /// file, named by its owner token.
     ///
     /// # Errors
     ///
     /// Returns the I/O error if the pin file cannot be created.
     pub fn pin(&self, fingerprint: u64) -> io::Result<PinGuard> {
+        static PINS: AtomicU64 = AtomicU64::new(0);
         let dir = self.pins_dir();
         fs::create_dir_all(&dir)?;
-        let pid = std::process::id();
-        let path = dir.join(format!("p{fingerprint:016x}-{pid}.pin"));
-        fs::write(&path, format!("{pid}\n"))?;
+        let owner = Owner::this_process(lease::mint_token(PINS.fetch_add(1, Ordering::Relaxed)), 0);
+        let path = dir.join(format!("p{fingerprint:016x}-{:016x}.pin", owner.token));
+        lease::write_record(&path, &owner)?;
         Ok(PinGuard { path })
     }
 
@@ -173,11 +177,10 @@ impl ResultCache {
         };
         for entry in entries.flatten() {
             let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some((fp, pid)) = parse_pin_name(name) else {
+            let Some(fp) = name.to_str().and_then(parse_pin_name) else {
                 continue;
             };
-            if pid_alive(pid) {
+            if !Sighting::read(&entry.path()).abandoned(None) {
                 if !pinned.contains(&fp) {
                     pinned.push(fp);
                 }
@@ -333,25 +336,15 @@ fn parse_group_name(name: &str) -> Option<(EntryKind, u64)> {
     u64::from_str_radix(hex, 16).ok().map(|fp| (kind, fp))
 }
 
-/// Parses a pin file name (`p<16 hex>-<pid>.pin`).
-fn parse_pin_name(name: &str) -> Option<(u64, u32)> {
+/// Parses a pin file name (`p<16 hex fingerprint>-<owner token>.pin`)
+/// to its fingerprint.
+fn parse_pin_name(name: &str) -> Option<u64> {
     let rest = name.strip_prefix('p')?.strip_suffix(".pin")?;
-    let (hex, pid) = rest.split_once('-')?;
+    let (hex, _token) = rest.split_once('-')?;
     if hex.len() != 16 {
         return None;
     }
-    Some((u64::from_str_radix(hex, 16).ok()?, pid.parse().ok()?))
-}
-
-/// Whether a process with this pid is alive. On Linux `/proc` answers
-/// directly; elsewhere we assume alive (pins then only break when
-/// dropped, which is merely conservative).
-fn pid_alive(pid: u32) -> bool {
-    if cfg!(target_os = "linux") {
-        Path::new("/proc").join(pid.to_string()).exists()
-    } else {
-        true
-    }
+    u64::from_str_radix(hex, 16).ok()
 }
 
 #[cfg(test)]
@@ -483,6 +476,22 @@ mod tests {
     }
 
     #[test]
+    fn each_guard_holds_its_own_pin() {
+        let cache = temp_cache("pin-twice");
+        let first = cache.pin(0x66).expect("pin");
+        let second = cache.pin(0x66).expect("pin again");
+        assert_eq!(cache.pinned_fingerprints(), [0x66]);
+        drop(first);
+        assert_eq!(
+            cache.pinned_fingerprints(),
+            [0x66],
+            "dropping one guard must not unpin the other's study"
+        );
+        drop(second);
+        assert!(cache.pinned_fingerprints().is_empty());
+    }
+
+    #[test]
     fn dead_owner_pins_are_broken() {
         let cache = temp_cache("stale-pin");
         fill(&cache, 0x55);
@@ -491,7 +500,7 @@ mod tests {
         fs::create_dir_all(&dir).expect("pins dir");
         fs::write(
             dir.join(format!("p{:016x}-{}.pin", 0x55, u32::MAX - 1)),
-            "x",
+            format!("{}\n", u32::MAX - 1),
         )
         .expect("pin");
         if cfg!(target_os = "linux") {
@@ -514,7 +523,7 @@ mod tests {
         assert_eq!(parse_group_name("x0000000000000001"), None);
         assert_eq!(parse_group_name("c123"), None);
         assert_eq!(parse_group_name("leases"), None);
-        assert_eq!(parse_pin_name("p00000000000000ab-42.pin"), Some((0xAB, 42)));
+        assert_eq!(parse_pin_name("p00000000000000ab-42.pin"), Some(0xAB));
         assert_eq!(parse_pin_name("p123-42.pin"), None);
         assert_eq!(parse_pin_name("garbage"), None);
     }

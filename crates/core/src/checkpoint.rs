@@ -196,20 +196,45 @@ fn crc32(bytes: &[u8]) -> u32 {
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-struct Fnv(u64);
+/// FNV-1a 64, the workspace's one fingerprint hasher: checkpoint and
+/// job fingerprints, fault-injection draws, and ownership tokens all
+/// fold their inputs through it.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv::new()
+    }
+}
 
 impl Fnv {
-    fn new() -> Self {
+    /// A hasher at the FNV offset basis.
+    pub fn new() -> Self {
         Fnv(FNV_OFFSET)
     }
-    fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
+
+    /// A hasher whose offset basis is perturbed by `key`.
+    pub fn keyed(key: u64) -> Self {
+        Fnv(FNV_OFFSET ^ key)
+    }
+
+    /// Folds in `bytes`, one FNV-1a round per byte.
+    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
         for &b in bytes {
             self.0 = (self.0 ^ b as u64).wrapping_mul(FNV_PRIME);
         }
         self
     }
-    fn u64(&mut self, v: u64) -> &mut Self {
+
+    /// Folds in `v`'s little-endian bytes.
+    pub fn u64(&mut self, v: u64) -> &mut Self {
         self.bytes(&v.to_le_bytes())
+    }
+
+    /// The hash so far.
+    pub fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -266,7 +291,7 @@ fn characterization_fingerprint_under(cfg: &StudyConfig, semantics: u32) -> u64 
     };
     h.u64(analysis_code(cfg.analysis))
         .u64(cfg.shard_total as u64);
-    h.0
+    h.finish()
 }
 
 /// Fingerprint of everything that determines one k-means restart:
@@ -292,7 +317,7 @@ pub fn clustering_fingerprint(cfg: &KmeansConfig, space: &Matrix) -> u64 {
             h.u64(v.to_bits());
         }
     }
-    h.0
+    h.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -787,8 +812,8 @@ fn sanitize(name: &str) -> String {
         .collect()
 }
 
-/// A directory of checkpoint files (see the [module docs](self) for the
-/// format, fingerprinting, and failure policy).
+/// A directory of checkpoint files (see the checkpoint module docs for
+/// the format, fingerprinting, and failure policy).
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -1307,6 +1332,22 @@ mod tests {
         assert_ne!(
             clustering_fingerprint(&kcfg, &m1),
             clustering_fingerprint(&kcfg.clone().with_seed(1), &m1)
+        );
+    }
+
+    /// Golden values recorded before the FNV helpers were merged: these
+    /// fingerprints key every persistent store, so a hasher change that
+    /// moves them silently invalidates all existing checkpoints.
+    #[test]
+    fn fingerprints_match_their_golden_values() {
+        assert_eq!(
+            characterization_fingerprint(&StudyConfig::paper_scaled()),
+            0xA0D2CF186F6DB71F
+        );
+        let space = Matrix::from_rows(&[vec![1.0, -2.5], vec![0.125, 3.0], vec![-7.0, 0.0]]);
+        assert_eq!(
+            clustering_fingerprint(&KmeansConfig::new(2), &space),
+            0x82B11761BA91A340
         );
     }
 }

@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the checkpoint store's filesystem
 //! I/O.
 //!
-//! Every recovery path in [`checkpoint`](crate::checkpoint) — torn
+//! Every recovery path in the checkpoint store — torn
 //! frames, short reads, transient `EINTR`s, full disks, failed renames —
 //! exists because real filesystems misbehave. This module makes those
 //! misbehaviors *injectable on purpose*: a seeded [`FaultPlan`] names
@@ -42,8 +42,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+use crate::checkpoint::Fnv;
 
 /// The kinds of filesystem misbehavior the injector can produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,16 +234,12 @@ impl Injector {
 
     /// Draws the decision value for one (operation, lane) pair.
     fn draw(&self, seq: u64, kind: FaultKind, path: &Path) -> f64 {
-        let mut h = FNV_OFFSET;
-        let mut fold = |bytes: &[u8]| {
-            for &b in bytes {
-                h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            }
-        };
-        fold(&self.plan.seed.to_le_bytes());
-        fold(&seq.to_le_bytes());
-        fold(&kind.lane().to_le_bytes());
-        fold(path.to_string_lossy().as_bytes());
+        let h = Fnv::new()
+            .u64(self.plan.seed)
+            .u64(seq)
+            .u64(kind.lane())
+            .bytes(path.to_string_lossy().as_bytes())
+            .finish();
         // 53 high-quality bits -> uniform [0, 1).
         (h >> 11) as f64 / (1u64 << 53) as f64
     }
@@ -349,8 +344,10 @@ impl Injector {
         if len == 0 {
             return 0;
         }
-        let mut h = FNV_OFFSET ^ self.plan.seed ^ seq.rotate_left(17);
-        h = h.wrapping_mul(FNV_PRIME);
+        // One zero byte through the keyed basis: a single multiply.
+        let h = Fnv::keyed(self.plan.seed ^ seq.rotate_left(17))
+            .bytes(&[0])
+            .finish();
         (h as usize) % len
     }
 }
@@ -596,5 +593,34 @@ mod tests {
             }
         }
         assert_eq!(inj.torn_len(3, 0), 0);
+    }
+
+    /// Golden draws and cut points recorded before the FNV helpers were
+    /// merged: chaos runs are reproducible only while these hold.
+    #[test]
+    fn draws_match_their_golden_values() {
+        let inj = Injector::new(FaultPlan {
+            seed: 42,
+            ..FaultPlan::default()
+        });
+        let path = PathBuf::from("/tmp/phaselab-faults-probe");
+        let draws: Vec<u64> = (0..8)
+            .map(|seq| inj.draw(seq, FaultKind::Eintr, &path).to_bits())
+            .collect();
+        let cuts: Vec<usize> = (0..8).map(|seq| inj.torn_len(seq, 1000)).collect();
+        assert_eq!(
+            draws,
+            [
+                0x3FEAB78D7F01B2F1,
+                0x3FE2D9978037BBB3,
+                0x3FB4AAA6E2314CB8,
+                0x3FE13809978B6974,
+                0x3FE5AFA5EDA9D9B8,
+                0x3FE5A8D81DFDDCF5,
+                0x3FE9EE4E14E04F9F,
+                0x3FE26B0B885A8F8C
+            ]
+        );
+        assert_eq!(cuts, [813, 621, 197, 5, 581, 389, 965, 773]);
     }
 }

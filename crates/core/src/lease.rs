@@ -1,23 +1,30 @@
-//! Advisory per-shard leases over a shared checkpoint store.
+//! Owner records — the one ownership primitive behind every
+//! coordination file — and the per-shard leases built on them.
 //!
-//! Concurrent shard workers (and the future `phaselab serve`) share one
-//! store directory. Atomic renames already make *individual* checkpoint
-//! writes safe; leases add the missing coarse coordination: at most one
-//! live worker per shard slot, detection of dead workers, and an
-//! ordered hand-off when a slot changes hands.
+//! # Owner records
 //!
-//! # Protocol
+//! Shard leases, serve-queue claim heartbeats, result-cache pins, and
+//! the `O_EXCL` mutation lock all name their holder with one [`Owner`]
+//! record, `<pid> <token> <fence>\n`: the owning process, a token that
+//! tells owners apart (two pins in one process, a usurping worker), and
+//! a fencing counter that totally orders successive lease holders.
+//!
+//! One rule decides abandonment ([`Sighting::abandoned`]): the owner's
+//! pid is dead, or the file has not been rewritten within the TTL.
+//! Age is the file's mtime: one clock for every record, and one a test
+//! can set directly. Pins pass no TTL, so only a dead owner breaks
+//! them. A record that does not decode (a torn write, a foreign file)
+//! is judged by age alone: the trailing newline is part of the record,
+//! so a torn prefix never decodes, and a torn heartbeat can delay a
+//! requeue by one TTL but never make a live claim look dead.
+//!
+//! # Shard leases
 //!
 //! Each shard slot owns one lease file, `leases/shard-<i>.lease` under
-//! the store root, holding the owner's pid, a random ownership token, a
-//! monotonic **fencing counter**, and the last heartbeat timestamp. A
-//! worker acquires the slot by writing its own record (guarded by an
-//! `O_EXCL` mutation lock and confirmed by read-back), then heartbeats
-//! the file every quarter-TTL. A lease whose heartbeat is older than
-//! the TTL is **stale**: a new acquirer takes the slot over, bumping
-//! the fencing counter so successive owners are totally ordered.
-//!
-//! # Safety model
+//! the store root. A worker acquires the slot by writing its own record
+//! (guarded by the mutation lock and confirmed by read-back), then
+//! rewrites the file every quarter-TTL. An abandoned lease is taken
+//! over with a bumped fencing counter.
 //!
 //! These are *advisory* leases built from portable filesystem
 //! primitives, so mutual exclusion is convergent rather than absolute:
@@ -40,28 +47,155 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use phaselab_par::CancelToken;
 
+use crate::checkpoint::Fnv;
+
 /// Default lease time-to-live, overridable via `PHASELAB_LEASE_TTL_MS`.
 const DEFAULT_TTL_MS: u64 = 30_000;
 
-/// The lease TTL for this process: `PHASELAB_LEASE_TTL_MS` if set and
-/// positive, else 30 seconds. A heartbeat older than this marks the
-/// lease stale and eligible for takeover.
-pub fn default_ttl() -> Duration {
-    let ms = std::env::var("PHASELAB_LEASE_TTL_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(DEFAULT_TTL_MS);
-    Duration::from_millis(ms)
+/// A positive integer `PHASELAB_*` knob: `None` when the variable is
+/// unset, zero, or not a number, so every knob treats 0 as unset.
+pub fn env_knob(name: &str) -> Option<u64> {
+    parse_knob(&std::env::var(name).ok()?)
 }
 
-/// Milliseconds since the UNIX epoch — the clock lease records carry.
-/// Workers sharing a store share a machine, so one wall clock orders
-/// their heartbeats.
-fn now_ms() -> u64 {
-    SystemTime::now()
+fn parse_knob(value: &str) -> Option<u64> {
+    value.parse().ok().filter(|&v| v > 0)
+}
+
+/// The lease TTL for this process: `PHASELAB_LEASE_TTL_MS` if set and
+/// positive, else 30 seconds. A record older than this is abandoned.
+pub fn default_ttl() -> Duration {
+    Duration::from_millis(env_knob("PHASELAB_LEASE_TTL_MS").unwrap_or(DEFAULT_TTL_MS))
+}
+
+/// Who holds a coordination file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Owner {
+    /// Pid of the owning process.
+    pub pid: u32,
+    /// Random token telling owners apart, within and across processes.
+    pub token: u64,
+    /// Monotonic fencing counter, bumped on every lease takeover.
+    pub fence: u64,
+}
+
+impl Owner {
+    /// A record naming this process.
+    pub fn this_process(token: u64, fence: u64) -> Owner {
+        Owner {
+            pid: std::process::id(),
+            token,
+            fence,
+        }
+    }
+
+    /// The on-disk form, `<pid> <token hex> <fence>\n`.
+    pub fn encode(&self) -> String {
+        format!("{} {:016x} {}\n", self.pid, self.token, self.fence)
+    }
+
+    /// Decodes a record. The trailing newline is required, so no strict
+    /// prefix of a record decodes. A bare `<pid>\n` (the form a claim
+    /// heartbeat carries in older spools) decodes with token and fence
+    /// zero.
+    pub fn decode(text: &str) -> Option<Owner> {
+        let mut fields = text.strip_suffix('\n')?.split(' ');
+        let pid = fields.next()?.parse().ok()?;
+        let token = fields
+            .next()
+            .map_or(Some(0), |t| u64::from_str_radix(t, 16).ok())?;
+        let fence = fields.next().map_or(Some(0), |f| f.parse().ok())?;
+        if fields.next().is_some() {
+            return None;
+        }
+        Some(Owner { pid, token, fence })
+    }
+}
+
+/// What a reader saw of an owner file.
+#[derive(Debug, Clone, Copy)]
+pub struct Sighting {
+    /// The record, if it decoded.
+    pub owner: Option<Owner>,
+    /// Time since the file was last written; `None` when it could not
+    /// be stat'ed (absent, or racing a rename).
+    pub age: Option<Duration>,
+}
+
+impl Sighting {
+    /// Reads and stats the owner file at `path`.
+    pub fn read(path: &Path) -> Sighting {
+        Sighting {
+            owner: fs::read_to_string(path)
+                .ok()
+                .and_then(|t| Owner::decode(&t)),
+            age: age(path),
+        }
+    }
+
+    /// The one abandonment rule: the owner's pid is dead, or — when a
+    /// `ttl` applies — the file is older than it (or cannot be stat'ed).
+    pub fn abandoned(&self, ttl: Option<Duration>) -> bool {
+        self.owner.is_some_and(|o| !pid_alive(o.pid))
+            || ttl.is_some_and(|ttl| self.age.is_none_or(|a| a > ttl))
+    }
+}
+
+/// Time since `path` was last written, by its mtime.
+pub fn age(path: &Path) -> Option<Duration> {
+    let modified = fs::metadata(path).and_then(|m| m.modified()).ok()?;
+    Some(
+        SystemTime::now()
+            .duration_since(modified)
+            .unwrap_or(Duration::ZERO),
+    )
+}
+
+/// Whether a process with this pid still exists. A `kill -9`'d owner
+/// leaves a fresh-looking record that would otherwise block its
+/// successor for a full TTL; on Linux `/proc` settles the question at
+/// once. Elsewhere this errs on the side of "alive" and the TTL does
+/// the work (pins then only break when dropped, which is merely
+/// conservative).
+fn pid_alive(pid: u32) -> bool {
+    if pid == std::process::id() {
+        return true;
+    }
+    if cfg!(target_os = "linux") {
+        Path::new("/proc").join(pid.to_string()).exists()
+    } else {
+        true
+    }
+}
+
+/// Mints an ownership token from process identity, the wall clock, and
+/// a caller salt — unique enough to tell racing owners apart.
+pub(crate) fn mint_token(salt: u64) -> u64 {
+    let nanos = SystemTime::now()
         .duration_since(UNIX_EPOCH)
-        .map_or(0, |d| d.as_millis() as u64)
+        .map_or(0, |d| d.as_nanos() as u64);
+    Fnv::new()
+        .u64(u64::from(std::process::id()))
+        .u64(nanos)
+        .u64(salt)
+        .finish()
+}
+
+/// Atomically replaces the file at `path` with `owner`'s record (unique
+/// temporary sibling + rename, so readers never see a torn record, and
+/// the mtime — the record's age — restarts).
+///
+/// # Errors
+///
+/// Whatever the temporary write or the rename produced.
+pub(crate) fn write_record(path: &Path, owner: &Owner) -> io::Result<()> {
+    let tmp = path.with_extension(format!(
+        "tmp-{}-{:08x}",
+        owner.pid,
+        owner.token & 0xFFFF_FFFF
+    ));
+    fs::write(&tmp, owner.encode())?;
+    fs::rename(&tmp, path)
 }
 
 /// Why a shard lease could not be acquired.
@@ -74,7 +208,8 @@ pub enum LeaseError {
     Held {
         /// The contended shard index.
         shard: u32,
-        /// Pid recorded by the current holder.
+        /// Pid recorded by the current holder (0 if its record did
+        /// not decode).
         holder_pid: u32,
         /// The holder's fencing counter.
         fence: u64,
@@ -115,62 +250,6 @@ impl From<io::Error> for LeaseError {
     }
 }
 
-/// One decoded lease record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LeaseInfo {
-    /// Pid of the recorded owner.
-    pub pid: u32,
-    /// The owner's random ownership token.
-    pub token: u64,
-    /// Monotonic fencing counter, bumped on every takeover.
-    pub fence: u64,
-    /// Owner's last heartbeat, in milliseconds since the UNIX epoch.
-    pub heartbeat_ms: u64,
-}
-
-impl LeaseInfo {
-    fn encode(&self) -> String {
-        format!(
-            "phaselab-lease v1\npid={}\ntoken={:016x}\nfence={}\nheartbeat_ms={}\n",
-            self.pid, self.token, self.fence, self.heartbeat_ms
-        )
-    }
-
-    /// Decodes a lease record; a malformed record returns `None` and is
-    /// treated like a stale lease (safe to take over).
-    fn decode(text: &str) -> Option<LeaseInfo> {
-        let mut lines = text.lines();
-        if lines.next()? != "phaselab-lease v1" {
-            return None;
-        }
-        let mut pid = None;
-        let mut token = None;
-        let mut fence = None;
-        let mut heartbeat_ms = None;
-        for line in lines {
-            let (key, value) = line.split_once('=')?;
-            match key {
-                "pid" => pid = value.parse().ok(),
-                "token" => token = u64::from_str_radix(value, 16).ok(),
-                "fence" => fence = value.parse().ok(),
-                "heartbeat_ms" => heartbeat_ms = value.parse().ok(),
-                _ => return None,
-            }
-        }
-        Some(LeaseInfo {
-            pid: pid?,
-            token: token?,
-            fence: fence?,
-            heartbeat_ms: heartbeat_ms?,
-        })
-    }
-
-    /// Whether this record's heartbeat is older than `ttl`.
-    pub fn is_stale(&self, ttl: Duration) -> bool {
-        now_ms().saturating_sub(self.heartbeat_ms) > ttl.as_millis() as u64
-    }
-}
-
 /// Path of the lease file for one shard slot under a store root.
 pub fn lease_path(store_dir: &Path, shard: u32) -> PathBuf {
     store_dir
@@ -178,44 +257,12 @@ pub fn lease_path(store_dir: &Path, shard: u32) -> PathBuf {
         .join(format!("shard-{shard}.lease"))
 }
 
-/// Reads and decodes a shard's lease record, if one exists and parses.
-pub fn read_lease(store_dir: &Path, shard: u32) -> Option<LeaseInfo> {
-    let text = fs::read_to_string(lease_path(store_dir, shard)).ok()?;
-    LeaseInfo::decode(&text)
-}
-
-/// Mints an ownership token from process identity and the wall clock —
-/// unique enough to distinguish two workers racing on one slot.
-fn mint_token(shard: u32) -> u64 {
-    let nanos = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map_or(0, |d| d.as_nanos() as u64);
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for v in [u64::from(std::process::id()), nanos, u64::from(shard)] {
-        for b in v.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
-}
-
-/// Atomically replaces the lease file with `info` (unique temporary
-/// sibling + rename, so readers never see a torn record).
-fn write_lease(path: &Path, info: &LeaseInfo) -> io::Result<()> {
-    let tmp = path.with_extension(format!("tmp-{}-{:08x}", info.pid, info.token & 0xFFFF_FFFF));
-    fs::write(&tmp, info.encode())?;
-    fs::rename(&tmp, path)
-}
-
-/// Runs `mutate` while holding the slot's `O_EXCL` mutation lock, so
-/// two acquirers cannot interleave their read-decide-write sequences.
-/// A lock file older than `ttl` is presumed abandoned by a crashed
-/// acquirer and broken.
-///
-/// Public because the result cache reuses the same lock protocol for
-/// its multi-process eviction passes: `path` names the protected
-/// resource (the lock file is `path` with a `.lock` extension), and
-/// any cooperating process taking the same `path` is excluded.
+/// Runs `mutate` while holding the `O_EXCL` mutation lock for `path`
+/// (the lock file is `path` with a `.lock` extension, holding its
+/// owner's record), so cooperating processes cannot interleave their
+/// read-decide-write sequences. Shard leases and the result cache's
+/// eviction passes both take it. A lock whose owner is dead, or that is
+/// older than `ttl`, is presumed abandoned and broken.
 ///
 /// # Errors
 ///
@@ -235,16 +282,13 @@ pub fn with_mutation_lock<T>(
             .open(&lock)
         {
             Ok(mut f) => {
-                let _ = writeln!(f, "{}", std::process::id());
+                let _ = f.write_all(Owner::this_process(0, 0).encode().as_bytes());
                 let out = mutate();
                 let _ = fs::remove_file(&lock);
                 return Ok(out);
             }
             Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                let abandoned = fs::metadata(&lock)
-                    .and_then(|m| m.modified())
-                    .map_or(true, |t| t.elapsed().is_ok_and(|a| a > ttl));
-                if abandoned {
+                if Sighting::read(&lock).abandoned(Some(ttl)) {
                     let _ = fs::remove_file(&lock);
                     continue;
                 }
@@ -267,8 +311,7 @@ pub fn with_mutation_lock<T>(
 pub struct ShardLease {
     path: PathBuf,
     shard: u32,
-    token: u64,
-    fence: u64,
+    owner: Owner,
     stop: Arc<AtomicBool>,
     displaced: Arc<AtomicBool>,
     heartbeat: Option<JoinHandle<()>>,
@@ -283,7 +326,7 @@ impl ShardLease {
     /// This owner's fencing counter — strictly greater than every
     /// previous owner's.
     pub fn fence(&self) -> u64 {
-        self.fence
+        self.owner.fence
     }
 
     /// True once another worker has taken the slot over; the cancel
@@ -305,10 +348,8 @@ impl ShardLease {
         }
         // Remove only if the record is still ours: a displaced lease
         // belongs to the new owner now.
-        if let Ok(text) = fs::read_to_string(&self.path) {
-            if LeaseInfo::decode(&text).is_some_and(|l| l.token == self.token) {
-                let _ = fs::remove_file(&self.path);
-            }
+        if holds(&self.path, self.owner.token) {
+            let _ = fs::remove_file(&self.path);
         }
     }
 }
@@ -319,34 +360,14 @@ impl Drop for ShardLease {
     }
 }
 
-/// Whether the lease holder's process still exists. A `kill -9`'d
-/// worker leaves a fresh-looking lease that would otherwise block its
-/// replacement for a full TTL; on Linux the `/proc` entry settles the
-/// question immediately. Where liveness cannot be checked this errs on
-/// the side of "alive" and the TTL does the fencing.
-fn holder_alive(pid: u32) -> bool {
-    if pid == std::process::id() {
-        return true;
-    }
-    #[cfg(target_os = "linux")]
-    {
-        Path::new("/proc").join(pid.to_string()).exists()
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = pid;
-        true
-    }
-}
-
 /// Acquires the lease for `shard` under `store_dir`, waiting up to
 /// `wait` for a live holder to go away.
 ///
-/// A stale (or absent, or malformed) lease is taken over immediately
-/// with a bumped fencing counter; takeovers increment the Timing-class
+/// An abandoned (or absent) lease is taken over immediately with a
+/// bumped fencing counter; takeovers increment the Timing-class
 /// `store.lease_takeovers` counter. While held, a background thread
-/// heartbeats every quarter-TTL and — should another worker displace
-/// this one — trips `cancel` so the worker stops writing.
+/// rewrites the record every quarter-TTL and — should another worker
+/// displace this one — trips `cancel` so the worker stops writing.
 ///
 /// # Errors
 ///
@@ -362,50 +383,27 @@ pub fn acquire(
 ) -> Result<ShardLease, LeaseError> {
     let path = lease_path(store_dir, shard);
     fs::create_dir_all(path.parent().expect("lease paths have a parent"))?;
-    let token = mint_token(shard);
+    let token = mint_token(u64::from(shard));
     let deadline = Instant::now() + wait;
     loop {
         if cancel.is_some_and(phaselab_par::CancelToken::is_cancelled) {
             return Err(LeaseError::Cancelled);
         }
-        enum Claim {
-            Won { fence: u64, takeover: bool },
-            HeldBy(LeaseInfo),
-        }
-        let claim = with_mutation_lock(&path, ttl, || -> io::Result<Claim> {
-            let existing = fs::read_to_string(&path)
-                .ok()
-                .and_then(|t| LeaseInfo::decode(&t));
-            match existing {
-                Some(l) if !l.is_stale(ttl) && holder_alive(l.pid) && l.token != token => {
-                    Ok(Claim::HeldBy(l))
-                }
-                other => {
-                    let takeover = other.is_some();
-                    let fence = other.map_or(1, |l| l.fence + 1);
-                    write_lease(
-                        &path,
-                        &LeaseInfo {
-                            pid: std::process::id(),
-                            token,
-                            fence,
-                            heartbeat_ms: now_ms(),
-                        },
-                    )?;
-                    Ok(Claim::Won { fence, takeover })
-                }
+        let claim = with_mutation_lock(&path, ttl, || -> io::Result<Result<_, Sighting>> {
+            let seen = Sighting::read(&path);
+            if !seen.abandoned(Some(ttl)) && seen.owner.is_none_or(|o| o.token != token) {
+                return Ok(Err(seen));
             }
+            let mine = Owner::this_process(token, seen.owner.map_or(1, |o| o.fence + 1));
+            write_record(&path, &mine)?;
+            Ok(Ok((mine, seen.owner.is_some())))
         })??;
         match claim {
-            Claim::Won { fence, takeover } => {
+            Ok((mine, takeover)) => {
                 // Confirm the claim survived any racing writer outside
                 // the lock (belt and braces; the lock already orders
                 // well-behaved acquirers).
-                let confirmed = fs::read_to_string(&path)
-                    .ok()
-                    .and_then(|t| LeaseInfo::decode(&t))
-                    .is_some_and(|l| l.token == token);
-                if !confirmed {
+                if !holds(&path, token) {
                     continue;
                 }
                 if takeover {
@@ -416,14 +414,15 @@ pub fn acquire(
                     );
                     phaselab_obs::event("lease", &format!("takeover of shard {shard}"));
                 }
-                return Ok(start_heartbeat(path, shard, token, fence, ttl, cancel));
+                return Ok(start_heartbeat(path, shard, mine, ttl, cancel));
             }
-            Claim::HeldBy(holder) => {
+            Err(holder) => {
                 if Instant::now() >= deadline {
+                    let (holder_pid, fence) = holder.owner.map_or((0, 0), |o| (o.pid, o.fence));
                     return Err(LeaseError::Held {
                         shard,
-                        holder_pid: holder.pid,
-                        fence: holder.fence,
+                        holder_pid,
+                        fence,
                     });
                 }
                 std::thread::sleep((ttl / 8).max(Duration::from_millis(5)));
@@ -432,12 +431,16 @@ pub fn acquire(
     }
 }
 
+/// Whether the record at `path` names the owner holding `token`.
+fn holds(path: &Path, token: u64) -> bool {
+    Sighting::read(path).owner.is_some_and(|o| o.token == token)
+}
+
 /// Spawns the heartbeat thread and assembles the lease guard.
 fn start_heartbeat(
     path: PathBuf,
     shard: u32,
-    token: u64,
-    fence: u64,
+    owner: Owner,
     ttl: Duration,
     cancel: Option<&CancelToken>,
 ) -> ShardLease {
@@ -461,25 +464,15 @@ fn start_heartbeat(
                 // Re-validate ownership before refreshing: a blind
                 // rewrite could resurrect a lease another worker has
                 // legitimately taken over.
-                let current = fs::read_to_string(&beat_path)
-                    .ok()
-                    .and_then(|t| LeaseInfo::decode(&t));
-                match current {
-                    Some(l) if l.token == token => {
-                        let refreshed = LeaseInfo {
-                            heartbeat_ms: now_ms(),
-                            ..l
-                        };
-                        let _ = write_lease(&beat_path, &refreshed);
+                if holds(&beat_path, owner.token) {
+                    let _ = write_record(&beat_path, &owner);
+                } else {
+                    beat_displaced.store(true, Ordering::Release);
+                    if let Some(t) = &beat_cancel {
+                        t.cancel();
                     }
-                    _ => {
-                        beat_displaced.store(true, Ordering::Release);
-                        if let Some(t) = &beat_cancel {
-                            t.cancel();
-                        }
-                        phaselab_obs::event("lease", &format!("shard {shard} lease displaced"));
-                        return;
-                    }
+                    phaselab_obs::event("lease", &format!("shard {shard} lease displaced"));
+                    return;
                 }
             }
         })
@@ -487,8 +480,7 @@ fn start_heartbeat(
     ShardLease {
         path,
         shard,
-        token,
-        fence,
+        owner,
         stop,
         displaced,
         heartbeat: Some(heartbeat),
@@ -507,17 +499,90 @@ mod tests {
         dir
     }
 
+    /// Backdates `path`'s mtime by `by`, as a silent owner would leave it.
+    fn age_file(path: &Path, by: Duration) {
+        let f = fs::File::options().append(true).open(path).expect("open");
+        f.set_modified(SystemTime::now() - by).expect("set mtime");
+    }
+
+    /// A pid no live process can have.
+    const DEAD_PID: u32 = 999_999_999;
+
     #[test]
-    fn lease_record_roundtrips() {
-        let info = LeaseInfo {
+    fn owner_record_roundtrips_and_torn_prefixes_never_decode() {
+        let owner = Owner {
             pid: 4242,
             token: 0xDEAD_BEEF_0123_4567,
             fence: 7,
-            heartbeat_ms: 1_700_000_000_000,
         };
-        assert_eq!(LeaseInfo::decode(&info.encode()), Some(info));
-        assert_eq!(LeaseInfo::decode("not a lease"), None);
-        assert_eq!(LeaseInfo::decode("phaselab-lease v1\npid=1\n"), None);
+        let text = owner.encode();
+        assert_eq!(Owner::decode(&text), Some(owner));
+        for cut in 0..text.len() {
+            assert_eq!(Owner::decode(&text[..cut]), None, "prefix {cut} decoded");
+        }
+        assert_eq!(
+            Owner::decode("4000000000\n"),
+            Some(Owner {
+                pid: 4_000_000_000,
+                token: 0,
+                fence: 0
+            })
+        );
+        assert_eq!(Owner::decode("not an owner\n"), None);
+        assert_eq!(Owner::decode("1 2 3 4\n"), None);
+    }
+
+    #[test]
+    fn one_abandonment_rule_covers_dead_silent_and_undecodable_owners() {
+        let dir = temp_dir("rule");
+        let file = dir.join("owner");
+        let ttl = Some(Duration::from_mins(1));
+        // Absent: abandoned under a TTL, never without one.
+        assert!(Sighting::read(&file).abandoned(ttl));
+        assert!(!Sighting::read(&file).abandoned(None));
+        // Live and fresh: held.
+        write_record(&file, &Owner::this_process(1, 1)).expect("write");
+        assert!(!Sighting::read(&file).abandoned(ttl));
+        // Live but silent past the TTL: abandoned only when a TTL applies.
+        age_file(&file, Duration::from_hours(1));
+        assert!(Sighting::read(&file).abandoned(ttl));
+        assert!(!Sighting::read(&file).abandoned(None));
+        // Dead owner: abandoned at once, TTL or not.
+        fs::write(&file, format!("{DEAD_PID}\n")).expect("forge");
+        if cfg!(target_os = "linux") {
+            assert!(Sighting::read(&file).abandoned(None));
+        }
+        // Undecodable (torn): judged by age alone.
+        fs::write(&file, "12").expect("torn");
+        assert!(!Sighting::read(&file).abandoned(ttl));
+        age_file(&file, Duration::from_hours(1));
+        assert!(Sighting::read(&file).abandoned(ttl));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn mutation_lock_of_a_dead_owner_is_broken_at_once() {
+        let dir = temp_dir("lock");
+        let resource = dir.join("resource");
+        fs::write(resource.with_extension("lock"), format!("{DEAD_PID} 0 0\n")).expect("forge");
+        if cfg!(target_os = "linux") {
+            let started = Instant::now();
+            let out = with_mutation_lock(&resource, Duration::from_mins(1), || 7).expect("lock");
+            assert_eq!(out, 7);
+            assert!(started.elapsed() < Duration::from_secs(30));
+            assert!(!resource.with_extension("lock").exists());
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn knobs_treat_zero_and_garbage_as_unset() {
+        assert_eq!(parse_knob("250"), Some(250));
+        assert_eq!(parse_knob("0"), None);
+        assert_eq!(parse_knob(""), None);
+        assert_eq!(parse_knob("-5"), None);
+        assert_eq!(parse_knob("1.5"), None);
+        assert_eq!(parse_knob("soon"), None);
     }
 
     #[test]
@@ -527,10 +592,12 @@ mod tests {
         let lease = acquire(&dir, 0, ttl, Duration::from_millis(100), None).expect("acquire");
         assert_eq!(lease.fence(), 1);
         assert!(!lease.is_displaced());
-        let recorded = read_lease(&dir, 0).expect("recorded");
+        let recorded = Sighting::read(&lease_path(&dir, 0))
+            .owner
+            .expect("recorded");
         assert_eq!(recorded.pid, std::process::id());
         lease.release();
-        assert!(read_lease(&dir, 0).is_none());
+        assert!(Sighting::read(&lease_path(&dir, 0)).owner.is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -547,16 +614,17 @@ mod tests {
         other.release();
         drop(first);
         // Forge a stale record: takeover must bump the fence.
-        write_lease(
-            &lease_path(&dir, 3),
-            &LeaseInfo {
+        let path = lease_path(&dir, 3);
+        write_record(
+            &path,
+            &Owner {
                 pid: 1,
                 token: 99,
                 fence: 5,
-                heartbeat_ms: now_ms().saturating_sub(10_000),
             },
         )
         .expect("forge stale");
+        age_file(&path, Duration::from_secs(10));
         let second = acquire(&dir, 3, ttl, Duration::from_millis(50), None).expect("takeover");
         assert_eq!(second.fence(), 6);
         second.release();
@@ -571,13 +639,12 @@ mod tests {
         let lease =
             acquire(&dir, 1, ttl, Duration::from_millis(50), Some(&token)).expect("acquire");
         // Simulate a fenced takeover by a new owner.
-        write_lease(
+        write_record(
             &lease_path(&dir, 1),
-            &LeaseInfo {
+            &Owner {
                 pid: 999_999,
                 token: 0xABCD,
                 fence: lease.fence() + 1,
-                heartbeat_ms: now_ms(),
             },
         )
         .expect("usurp");
@@ -592,7 +659,8 @@ mod tests {
         );
         drop(lease);
         // The usurper's record survives the displaced owner's drop.
-        assert_eq!(read_lease(&dir, 1).expect("still present").pid, 999_999);
+        let survivor = Sighting::read(&lease_path(&dir, 1)).owner;
+        assert_eq!(survivor.expect("still present").pid, 999_999);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -47,16 +47,12 @@
 #![warn(missing_docs)]
 
 mod analysis;
-/// Size accounting, LRU eviction, and pinning over the checkpoint
-/// store.
 pub mod cache;
 mod characterize;
 mod checkpoint;
 mod config;
 mod error;
-/// Deterministic fault injection for the checkpoint store's I/O.
 pub mod faults;
-/// Advisory per-shard leases over a shared checkpoint store.
 pub mod lease;
 mod phases;
 mod pipeline;
@@ -77,7 +73,7 @@ pub use characterize::{
 };
 pub use checkpoint::{
     characterization_fingerprint, clustering_fingerprint, BenchOutcome, CheckpointError,
-    CheckpointStore,
+    CheckpointStore, Fnv,
 };
 pub use config::{AnalysisMode, Engine, SamplingPolicy, StudyConfig};
 pub use error::{AnalysisError, ConfigError, QuarantineCause, QuarantinedBenchmark, StudyError};

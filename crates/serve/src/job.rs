@@ -5,15 +5,17 @@
 //! the same flags a direct `repro` invocation would take — in one
 //! canonical JSON document. Canonical means: fixed key order, absent
 //! optionals rendered as `null`, no timestamps, no submitter identity.
-//! The FNV-1a hash of those bytes is the job's [`fingerprint`]
-//! (`JobSpec::fingerprint`): two submissions asking for the same study
-//! hash identically no matter who sent them or when, which is what
-//! makes server-side deduplication a file-name comparison.
+//! The FNV-1a hash of those bytes is the job's
+//! [`fingerprint`](crate::JobSpec::fingerprint): two submissions asking
+//! for the same study hash identically no matter who sent them or when,
+//! which is what makes server-side deduplication a file-name
+//! comparison.
 //!
 //! Deliberately *excluded* from the spec: thread counts (results are
 //! bit-identical across them), progress/metrics flags (presentation,
 //! not work), and checkpoint directories (the server owns the store).
 
+use phaselab_core::Fnv;
 use phaselab_obs::Json;
 use std::fmt;
 
@@ -182,13 +184,7 @@ impl JobSpec {
 
     /// FNV-1a 64 over the canonical JSON bytes: the dedup key.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut h = OFFSET;
-        for b in self.to_json().bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-        }
-        h
+        Fnv::new().bytes(self.to_json().as_bytes()).finish()
     }
 
     /// The `repro` argv equivalent of this spec, *without* the
@@ -312,6 +308,14 @@ mod tests {
                 "{label} must change the fingerprint"
             );
         }
+    }
+
+    /// Golden value recorded before the FNV helpers were merged: the
+    /// fingerprint names spool files and result directories, so it must
+    /// not move.
+    #[test]
+    fn fingerprint_matches_its_golden_value() {
+        assert_eq!(sample().fingerprint(), 0x02A80C69F65CFA96);
     }
 
     #[test]

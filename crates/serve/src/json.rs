@@ -1,11 +1,12 @@
 //! A minimal JSON *parser* for the job-spool protocol, targeting the
-//! same deterministic [`Json`] value type `phaselab-obs` renders.
+//! same deterministic [`Json`](phaselab_obs::Json) value type
+//! `phaselab-obs` renders.
 //!
 //! The spool directory holds job specs and completion records written
-//! by [`Json::render_pretty`]; this module reads them back. It is a
-//! strict RFC 8259 subset-parser over the documents this workspace
-//! produces: objects, arrays, strings with escapes, integers, floats,
-//! booleans, and `null`. Anything malformed returns a positioned error
+//! by [`Json::render_pretty`](phaselab_obs::Json::render_pretty); this
+//! module reads them back. It is a strict RFC 8259 subset-parser over
+//! the documents this workspace produces: objects, arrays, strings with
+//! escapes, integers, floats, booleans, and `null`. Anything malformed returns a positioned error
 //! — the queue treats an unparsable record like the checkpoint store
 //! treats a torn frame: warn, quarantine, recompute, never crash.
 

@@ -26,14 +26,17 @@
 //! since the running file is removed only after `done/` exists, it can
 //! never be lost.
 //!
-//! Claims are leased, not owned: the claimer refreshes `<name>.hb`
-//! (heartbeat sidecar) and [`Queue::recover`] returns claims whose
-//! owner died or went silent back to `pending/`. All spool reads,
-//! writes, and renames go through the handle's
+//! Claims are leased, not owned: the claimer refreshes `<name>.hb`, a
+//! heartbeat sidecar holding its owner record
+//! ([`Owner`](phaselab_core::lease::Owner)), and [`Queue::recover`]
+//! returns claims the lease module's one abandonment rule
+//! ([`Sighting::abandoned`](phaselab_core::lease::Sighting::abandoned))
+//! calls abandoned back to `pending/`. All spool reads, writes, and renames go through the handle's
 //! [`Io`](phaselab_core::faults::Io) so the chaos tests can inject torn
 //! renames and crashed workers at exactly these seams.
 
 use phaselab_core::faults::Io;
+use phaselab_core::lease::{self, Owner, Sighting};
 use phaselab_obs::Json;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -139,7 +142,7 @@ impl CompletionRecord {
 
 /// A claimed job: the exclusive right to execute one submission.
 ///
-/// The claim is leased, not owned — call [`Claim::heartbeat`]
+/// The claim is leased, not owned — call [`Queue::heartbeat`]
 /// periodically or [`Queue::recover`] on another process will requeue
 /// it. Dropping a claim without completing it is safe for the same
 /// reason: recovery returns it to `pending/`.
@@ -258,38 +261,64 @@ impl Queue {
     /// renamed into `pending/`, then read back and re-parsed. If the
     /// read-back does not reproduce the spec (an injected torn rename,
     /// a full disk), the damaged file is removed and the publish
-    /// retried under a fresh name, up to [`SUBMIT_RETRIES`] times.
+    /// retried under a fresh name, up to `SUBMIT_RETRIES` times.
     ///
     /// # Errors
     ///
     /// The last I/O error when every retry failed verification.
     pub fn submit(&self, spec: &JobSpec) -> io::Result<String> {
-        let body = spec.to_json();
-        let mut last_err = io::Error::other("submit retries exhausted");
+        let mut name = String::new();
+        self.publish(
+            &spec.to_json(),
+            || {
+                name = fresh_name(spec);
+                (self.dir("tmp").join(&name), self.dir("pending").join(&name))
+            },
+            true,
+            |text| JobSpec::parse(text).is_ok_and(|parsed| parsed == *spec),
+        )?;
+        Ok(name)
+    }
+
+    /// The verified publish behind submissions and completion records:
+    /// stage `body` at the first path `target` yields, rename it to the
+    /// second, read it back, and accept it only when `accept` recognizes
+    /// the text — retrying up to `SUBMIT_RETRIES` times with a fresh
+    /// `target` each attempt. A failed attempt's staging file is
+    /// removed; its published file too when `discard` is set
+    /// (submissions, which retry under a fresh name). Completion
+    /// records keep theirs for the next rename to overwrite: recovery
+    /// on another server may already have acted on it.
+    fn publish(
+        &self,
+        body: &str,
+        mut target: impl FnMut() -> (PathBuf, PathBuf),
+        discard: bool,
+        accept: impl Fn(&str) -> bool,
+    ) -> io::Result<()> {
+        let mut last_err = io::Error::other("publish retries exhausted");
         for _ in 0..SUBMIT_RETRIES {
-            let name = fresh_name(spec);
-            let staged = self.dir("tmp").join(&name);
-            let published = self.dir("pending").join(&name);
-            let attempt = (|| -> io::Result<()> {
-                self.io.write(&staged, body.as_bytes())?;
-                self.io.rename(&staged, &published)?;
-                let back = self.io.read(&published)?;
-                let text = String::from_utf8(back)
-                    .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "not UTF-8"))?;
-                match JobSpec::parse(&text) {
-                    Ok(parsed) if parsed == *spec => Ok(()),
-                    Ok(_) => Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "read-back spec differs",
-                    )),
-                    Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
-                }
-            })();
+            let (staged, published) = target();
+            let attempt = self
+                .io
+                .write(&staged, body.as_bytes())
+                .and_then(|()| self.io.rename(&staged, &published))
+                .and_then(|()| self.io.read(&published))
+                .and_then(|back| {
+                    String::from_utf8(back)
+                        .ok()
+                        .filter(|t| accept(t))
+                        .ok_or_else(|| {
+                            io::Error::new(io::ErrorKind::InvalidData, "read-back differs")
+                        })
+                });
             match attempt {
-                Ok(()) => return Ok(name),
+                Ok(_) => return Ok(()),
                 Err(e) => {
                     let _ = fs::remove_file(&staged);
-                    let _ = fs::remove_file(&published);
+                    if discard {
+                        let _ = fs::remove_file(&published);
+                    }
                     last_err = e;
                 }
             }
@@ -370,7 +399,7 @@ impl Queue {
             };
             if strikes < STRIKE_LIMIT {
                 if self.io.rename(&to, &from).is_ok() {
-                    let _ = fs::remove_file(self.dir("running").join(format!("{name}.hb")));
+                    let _ = fs::remove_file(self.heartbeat_path(&name));
                 }
                 // A failed rollback leaves the claim in running/ for
                 // recovery to requeue once its lease lapses.
@@ -415,11 +444,14 @@ impl Queue {
     }
 
     fn stamp_heartbeat(&self, name: &str) {
-        let hb = self.dir("running").join(format!("{name}.hb"));
-        let body = format!("{}\n", std::process::id());
-        // A torn heartbeat only delays requeue by one TTL; plain write
-        // (no staging dance) is deliberate.
-        let _ = self.io.write(&hb, body.as_bytes());
+        // A torn record never decodes, so it only delays a requeue by
+        // one TTL; a plain write (no staging dance) is deliberate.
+        let body = Owner::this_process(0, 0).encode();
+        let _ = self.io.write(&self.heartbeat_path(name), body.as_bytes());
+    }
+
+    fn heartbeat_path(&self, name: &str) -> PathBuf {
+        self.dir("running").join(format!("{name}.hb"))
     }
 
     /// Publishes the completion record and retires the running entry.
@@ -431,7 +463,7 @@ impl Queue {
     ///
     /// Like submissions, the publish is verified: the record is read
     /// back and re-parsed, and a torn publish is rewritten under the
-    /// same name, up to [`SUBMIT_RETRIES`] times. When every attempt
+    /// same name, up to `SUBMIT_RETRIES` times. When every attempt
     /// fails the running entry is left in place so recovery can requeue
     /// the job — an unreadable completion record never counts as done.
     ///
@@ -447,42 +479,20 @@ impl Queue {
             detail: detail.to_string(),
             spec: claim.spec.clone(),
         };
-        let body = record.render();
-        let staged = self.dir("tmp").join(format!("{}.done", claim.name));
-        let published = self.dir("done").join(&claim.name);
-        let mut last_err = io::Error::other("completion retries exhausted");
-        for _ in 0..SUBMIT_RETRIES {
-            let attempt = (|| -> io::Result<()> {
-                self.io.write(&staged, body.as_bytes())?;
-                self.io.rename(&staged, &published)?;
-                let back = self.io.read(&published)?;
-                let text = String::from_utf8(back)
-                    .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "not UTF-8"))?;
-                if CompletionRecord::parse(&claim.name, &text).as_ref() == Some(&record) {
-                    Ok(())
-                } else {
-                    Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "read-back record differs",
-                    ))
-                }
-            })();
-            match attempt {
-                Ok(()) => {
-                    let _ = fs::remove_file(self.dir("running").join(&claim.name));
-                    let _ = fs::remove_file(self.dir("running").join(format!("{}.hb", claim.name)));
-                    return Ok(());
-                }
-                Err(e) => {
-                    // A torn done/ record is overwritten by the next
-                    // attempt's rename; only the staging file needs
-                    // explicit cleanup.
-                    let _ = fs::remove_file(&staged);
-                    last_err = e;
-                }
-            }
-        }
-        Err(last_err)
+        self.publish(
+            &record.render(),
+            || {
+                (
+                    self.dir("tmp").join(format!("{}.done", claim.name)),
+                    self.dir("done").join(&claim.name),
+                )
+            },
+            false,
+            |text| CompletionRecord::parse(&claim.name, text).as_ref() == Some(&record),
+        )?;
+        let _ = fs::remove_file(self.dir("running").join(&claim.name));
+        let _ = fs::remove_file(self.heartbeat_path(&claim.name));
+        Ok(())
     }
 
     /// Reads the completion record for `name`, if the job is done.
@@ -514,10 +524,12 @@ impl Queue {
     /// Sweeps `running/` for abandoned claims and returns how many
     /// were requeued to `pending/`.
     ///
-    /// A claim is abandoned when its heartbeat owner is a dead pid, or
-    /// no heartbeat has landed within `ttl`. If a completion record
-    /// already exists the leftovers are removed instead of requeued —
-    /// the crash happened after the publish, so the job is done.
+    /// A claim is abandoned when its heartbeat's owner is a dead pid, or
+    /// neither the heartbeat nor the running file has been written
+    /// within `ttl` (an undecodable heartbeat is judged by age alone).
+    /// If a completion record already exists the leftovers are removed
+    /// instead of requeued — the crash happened after the publish, so
+    /// the job is done.
     ///
     /// # Errors
     ///
@@ -544,21 +556,24 @@ impl Queue {
             // Only a *parseable* completion record counts as done; a
             // torn publish (crash mid-`complete`) must requeue, not
             // strand the job behind a corrupt record.
+            let hb = self.heartbeat_path(&name);
             if self.read_done(&name).is_some() {
                 let _ = fs::remove_file(&job);
-                let _ = fs::remove_file(running.join(format!("{name}.hb")));
+                let _ = fs::remove_file(&hb);
                 continue;
             }
-            let hb = running.join(format!("{name}.hb"));
-            let owner_dead = match self.io.read(&hb) {
-                Ok(bytes) => String::from_utf8(bytes)
+            let seen = Sighting {
+                owner: self
+                    .io
+                    .read(&hb)
                     .ok()
-                    .and_then(|s| s.trim().parse::<u32>().ok())
-                    .is_some_and(|pid| !pid_alive(pid)),
-                Err(_) => false,
+                    .and_then(|bytes| String::from_utf8(bytes).ok())
+                    .and_then(|text| Owner::decode(&text)),
+                // A claim with no heartbeat yet is as fresh as its
+                // running file.
+                age: [&hb, &job].into_iter().filter_map(|p| lease::age(p)).min(),
             };
-            let silent = heartbeat_age(&hb, &job).is_none_or(|age| age > ttl);
-            if (owner_dead || silent)
+            if seen.abandoned(Some(ttl))
                 && self
                     .io
                     .rename(&job, &self.dir("pending").join(&name))
@@ -658,30 +673,6 @@ fn list_names(dir: &Path) -> io::Result<Vec<String>> {
         }
     }
     Ok(out)
-}
-
-/// Time since the newer of the heartbeat and the running file was
-/// touched; `None` when neither is stat-able.
-fn heartbeat_age(hb: &Path, job: &Path) -> Option<Duration> {
-    let newest = [hb, job]
-        .iter()
-        .filter_map(|p| fs::metadata(p).and_then(|m| m.modified()).ok())
-        .max()?;
-    Some(
-        SystemTime::now()
-            .duration_since(newest)
-            .unwrap_or(Duration::ZERO),
-    )
-}
-
-#[cfg(target_os = "linux")]
-fn pid_alive(pid: u32) -> bool {
-    Path::new(&format!("/proc/{pid}")).exists()
-}
-
-#[cfg(not(target_os = "linux"))]
-fn pid_alive(_pid: u32) -> bool {
-    true // no portable probe; fall back to the heartbeat TTL alone
 }
 
 #[cfg(test)]
