@@ -60,9 +60,9 @@ use std::time::Instant;
 
 use phaselab_bench::write_artifact;
 use phaselab_core::{
-    characterization_fingerprint, coverage, diversity, format_table, run_shard, run_shard_with,
-    run_study_resumable, run_study_with_resumable, uniqueness, AnalysisMode, CancelToken,
-    CheckpointStore, SamplingPolicy, StudyConfig, StudyError, StudyResult,
+    characterization_fingerprint, coverage, diversity, format_table, run_shard_with,
+    run_study_with_resumable, uniqueness, AnalysisMode, CancelToken, CheckpointStore,
+    SamplingPolicy, StudyConfig, StudyError, StudyResult,
 };
 use phaselab_ga::{greedy_select, select_features, DistanceCorrelationFitness, GaConfig};
 use phaselab_mica::{feature_names, FeatureCategory, NUM_FEATURES};
@@ -244,7 +244,8 @@ options:
                             budgets, no dead-code pruning, no longest-first
                             shard ordering, no static_analysis manifest section
                             (results are bit-identical either way)
-  --metrics-out PATH        write the run manifest (JSON) to PATH
+  --metrics-out PATH        write the run manifest (JSON) to PATH (studies,
+                            --shard and serve only)
   --progress                throttled stage/progress lines on stderr
   --verify-only             statically verify every registry program, run nothing
   --json                    machine-readable diagnostics (lint/--verify-only)
@@ -397,98 +398,6 @@ fn main() {
     }
 }
 
-/// Measures raw VM dispatch throughput under both engines on one
-/// registry workload (lbm: long unrolled blocks, the shape the block
-/// engine is built for) and records the results as Timing-class
-/// gauges, so `BENCH_obs.json` can carry a same-binary engine speedup.
-/// Both engines run behind a trait-object sink, exactly like the study
-/// pipeline — min-of-5 wall time per engine keeps scheduler noise out
-/// of the numerator and denominator symmetrically.
-fn calibrate_engines(reg: &phaselab_obs::Registry) {
-    use phaselab_trace::{BlockSink, SummarySink, TraceSink};
-    use phaselab_vm::{CompiledProgram, Vm};
-
-    let Some(bench) = phaselab_workloads::catalog()
-        .into_iter()
-        .find(|b| b.name() == "lbm")
-    else {
-        return;
-    };
-    let program = bench.build(phaselab_workloads::Scale::Tiny, 0);
-    let compiled = CompiledProgram::compile(&program);
-
-    let time = |run: &mut dyn FnMut() -> u64| {
-        let mut best = f64::INFINITY;
-        let mut insts = 0;
-        for _ in 0..5 {
-            let t = std::time::Instant::now();
-            insts = std::hint::black_box(run());
-            best = best.min(t.elapsed().as_secs_f64() * 1e9);
-        }
-        best / insts.max(1) as f64
-    };
-    let inst_ns = time(&mut || {
-        let mut vm = Vm::new(&program);
-        let mut obs = SummarySink::new();
-        let mut sink: &mut dyn TraceSink = std::hint::black_box(&mut obs);
-        vm.run(&mut sink, u64::MAX).expect("lbm halts");
-        obs.instructions()
-    });
-    let block_ns = time(&mut || {
-        let mut vm = Vm::new(&program);
-        let mut obs = SummarySink::new();
-        let mut sink: &mut dyn BlockSink = std::hint::black_box(&mut obs);
-        vm.run_blocks(&compiled, &mut sink, u64::MAX)
-            .expect("lbm halts");
-        obs.instructions()
-    });
-
-    use phaselab_obs::Class::Timing;
-    reg.gauge("vm.calibrate.inst_ns_per_inst", Timing)
-        .set(inst_ns);
-    reg.gauge("vm.calibrate.block_ns_per_inst", Timing)
-        .set(block_ns);
-    reg.gauge("vm.calibrate.block_speedup", Timing)
-        .set(inst_ns / block_ns);
-}
-
-/// Measures static-analyzer throughput over the full registry catalog
-/// (built at Tiny so the measurement is dominated by analysis, not
-/// program construction) and records it — plus the per-pass wall-time
-/// split the analyzer self-reports — as Timing-class gauges. Min-of-3
-/// keeps scheduler noise out, mirroring `calibrate_engines`.
-fn calibrate_static(reg: &phaselab_obs::Registry) {
-    use phaselab_obs::Class::Timing;
-    let programs: Vec<_> = phaselab_workloads::catalog()
-        .iter()
-        .map(|b| b.build(Scale::Tiny, 0))
-        .collect();
-    let mut best = f64::INFINITY;
-    let mut pass_ns: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for _ in 0..3 {
-        let t = Instant::now();
-        let mut this_round: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for program in &programs {
-            if let Ok(report) = std::hint::black_box(program.analyze()) {
-                for (pass, ns) in &report.pass_ns {
-                    *this_round.entry(pass).or_insert(0) += ns;
-                }
-            }
-        }
-        let elapsed = t.elapsed().as_secs_f64();
-        if elapsed < best {
-            best = elapsed;
-            pass_ns = this_round;
-        }
-    }
-    reg.gauge("static.calibrate.progs_per_s", Timing)
-        .set(programs.len() as f64 / best.max(f64::MIN_POSITIVE));
-    for (pass, ns) in pass_ns {
-        reg.gauge(&format!("static.calibrate.{pass}_ms"), Timing)
-            .set(ns as f64 / 1e6);
-    }
-}
-
 /// Renders the run manifest and writes it to `path`. The config section
 /// deliberately excludes the thread count: everything outside the
 /// manifest's `timings` section is identical across thread counts.
@@ -496,8 +405,6 @@ fn write_metrics_manifest(cfg: &StudyConfig, command: &str, path: &Path) {
     let Some(reg) = phaselab_obs::registry() else {
         return;
     };
-    calibrate_engines(reg);
-    calibrate_static(reg);
     let config = vec![
         ("experiment".to_string(), Json::Str(command.to_string())),
         (
@@ -852,20 +759,8 @@ fn run_shard_worker(
         store.dir().display()
     );
     let t = Instant::now();
-    let summary = if only.is_empty() {
-        run_shard(cfg, shard_index, store, Some(token))?
-    } else {
-        let benches: Vec<phaselab_workloads::Benchmark> = phaselab_workloads::catalog()
-            .into_iter()
-            .filter(|b| {
-                cfg.suites
-                    .as_ref()
-                    .is_none_or(|suites| suites.contains(&b.suite()))
-            })
-            .filter(|b| only.iter().any(|name| name == b.name()))
-            .collect();
-        run_shard_with(cfg, &benches, shard_index, store, Some(token))?
-    };
+    let benches = select_benchmarks(cfg, only);
+    let summary = run_shard_with(cfg, &benches, shard_index, store, Some(token))?;
     eprintln!(
         "[repro] shard {}/{} done in {:.1}s: {} assigned, {} characterized, {} quarantined",
         summary.shard_index,
@@ -1268,30 +1163,31 @@ fn cmd_cache(cli: &Cli) -> i32 {
     }
 }
 
-/// Runs the study over the configured suites, further restricted to the
-/// `--only` benchmark names when given. With an empty filter this is
-/// exactly [`run_study_resumable`]; with a filter it applies the same
-/// suite selection before the name match, so `--only` composes with
-/// `--suites`.
-fn run_filtered_study(
-    cfg: &StudyConfig,
-    only: &[String],
-    store: Option<&CheckpointStore>,
-    token: &CancelToken,
-) -> Result<StudyResult, StudyError> {
-    if only.is_empty() {
-        return run_study_resumable(cfg, store, Some(token));
-    }
-    let benches: Vec<phaselab_workloads::Benchmark> = phaselab_workloads::catalog()
+/// The benchmarks a study or shard worker runs: the catalog restricted
+/// to `cfg.suites`, then to the `--only` names when any are given, so
+/// `--only` composes with `--suites`. Direct, sharded and reduce passes
+/// all select through here, which keeps the round-robin shard deal and
+/// the reducer's list identical.
+fn select_benchmarks(cfg: &StudyConfig, only: &[String]) -> Vec<phaselab_workloads::Benchmark> {
+    phaselab_workloads::catalog()
         .into_iter()
         .filter(|b| {
             cfg.suites
                 .as_ref()
                 .is_none_or(|suites| suites.contains(&b.suite()))
         })
-        .filter(|b| only.iter().any(|name| name == b.name()))
-        .collect();
-    run_study_with_resumable(cfg, &benches, store, Some(token))
+        .filter(|b| only.is_empty() || only.iter().any(|name| name == b.name()))
+        .collect()
+}
+
+/// Runs the study over [`select_benchmarks`].
+fn run_filtered_study(
+    cfg: &StudyConfig,
+    only: &[String],
+    store: Option<&CheckpointStore>,
+    token: &CancelToken,
+) -> Result<StudyResult, StudyError> {
+    run_study_with_resumable(cfg, &select_benchmarks(cfg, only), store, Some(token))
 }
 
 /// With the watchdog armed, reports the top-3 benchmarks closest to the
@@ -1660,6 +1556,17 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "`--json` is only meaningful with `lint` or `--verify-only` (diagnostics modes)"
                 .to_string(),
         );
+    }
+    if metrics_out.is_some()
+        && matches!(
+            command.as_str(),
+            "lint" | "--verify-only" | "submit" | "jobs" | "cache"
+        )
+    {
+        return Err(format!(
+            "`--metrics-out` is not written by `{command}` (only studies, `--shard` and \
+             `serve` write a run manifest)"
+        ));
     }
     if SERVICE_COMMANDS.contains(&command.as_str()) {
         if matches!(command.as_str(), "serve" | "submit" | "jobs") && queue_dir.is_none() {

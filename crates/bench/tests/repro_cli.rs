@@ -251,6 +251,35 @@ fn json_without_a_diagnostics_mode_is_a_usage_error() {
 }
 
 #[test]
+fn metrics_out_in_a_mode_that_writes_no_manifest_is_a_usage_error() {
+    let dir = std::env::temp_dir().join(format!("repro-cli-metrics-{}", std::process::id()));
+    let manifest = dir.join("manifest.json");
+    let manifest = manifest.to_str().unwrap();
+    let spool = dir.join("spool");
+    let spool = spool.to_str().unwrap();
+    let cases: [&[&str]; 5] = [
+        &["lint", "--scale", "tiny"],
+        &["--verify-only", "--scale", "tiny"],
+        &["cache", "--checkpoint-dir", spool],
+        &["jobs", "--queue-dir", spool],
+        &["submit", "table3", "--queue-dir", spool],
+    ];
+    for case in cases {
+        let mut args = case.to_vec();
+        args.extend(["--metrics-out", manifest]);
+        let out = repro(&args);
+        assert_eq!(out.status.code(), Some(2), "{case:?}");
+        let line = stderr_line(&out);
+        assert!(
+            line.contains("`--metrics-out` is not written by"),
+            "{case:?}: {line}"
+        );
+    }
+    // Rejected while parsing: nothing was created or written.
+    assert!(!dir.exists());
+}
+
+#[test]
 fn help_lists_lint_and_the_static_analysis_flags() {
     let out = repro(&["--help"]);
     assert_eq!(out.status.code(), Some(0));

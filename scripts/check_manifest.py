@@ -4,9 +4,7 @@
 Checks the schema version, the presence and types of every required
 section, the config keys the determinism contract promises, and basic
 internal consistency (histogram bucket counts sum to the recorded
-count, span timings are non-negative). With `--emit-bench PATH` it
-also distills the headline performance figures into a one-line JSON
-document suitable for CI tracking.
+count, span timings are non-negative).
 
 With `--diagnostics` the input is instead a diagnostics document from
 `repro lint --json` or `repro --verify-only --json`, validated against
@@ -221,67 +219,6 @@ def validate_diagnostics(doc):
     return denies
 
 
-def emit_bench(manifest, path):
-    """Distill kmeans wall time, characterization throughput, and peak
-    RSS into a one-line benchmark JSON document."""
-    spans = manifest["timings"]["spans"]
-    counters = manifest["counters"]
-
-    kmeans_ms = spans.get("study/kmeans", {}).get("total_ms")
-    char_ms = spans.get("study/characterize", {}).get("total_ms")
-    instructions = counters.get("vm.instructions")
-    blocks = counters.get("vm.blocks")
-    inst_per_s = None
-    if char_ms and instructions is not None:
-        inst_per_s = instructions / (char_ms / 1e3)
-    # Dispatch amortization: executed instructions per dispatched block.
-    # Fully deterministic (no wall clock), so regressions here mean the
-    # block engine genuinely stopped batching, not that CI was slow.
-    inst_per_dispatch = None
-    if instructions is not None and blocks:
-        inst_per_dispatch = instructions / blocks
-
-    # Same-binary engine speedup, measured by `repro`'s calibration
-    # pass (lbm behind a trait-object sink under both engines).
-    speedup = manifest["timings"]["gauges"].get("vm.calibrate.block_speedup")
-
-    # Static-analyzer throughput and per-pass split, measured by the
-    # calibration pass (full catalog at Tiny, min-of-3).
-    timing_gauges = manifest["timings"]["gauges"]
-    static_progs_per_s = timing_gauges.get("static.calibrate.progs_per_s")
-    static_passes = {
-        f"static_pass_{name.removeprefix('static.calibrate.').removesuffix('_ms')}_ms": value
-        for name, value in timing_gauges.items()
-        if name.startswith("static.calibrate.") and name.endswith("_ms")
-    }
-
-    # Analysis-stage throughput: sampled rows swept through the
-    # normalize → PCA → score passes per second of the `study/analysis`
-    # span. Tracks the streaming-analysis refactor's hot path.
-    analysis_ms = spans.get("study/analysis", {}).get("total_ms")
-    rows = manifest["gauges"].get("sampling.rows")
-    rows_per_s = None
-    if analysis_ms and rows:
-        rows_per_s = rows / (analysis_ms / 1e3)
-
-    bench = {
-        "kmeans_wall_ms": kmeans_ms,
-        "characterize_inst_per_s": inst_per_s,
-        "analysis_rows_per_s": rows_per_s,
-        "vm_inst_per_dispatch": inst_per_dispatch,
-        "vm_block_speedup": speedup,
-        "static_analysis_progs_per_s": static_progs_per_s,
-        **static_passes,
-        "peak_rss_kb": manifest["timings"]["peak_rss_kb"],
-    }
-    for key, value in bench.items():
-        if value is None:
-            fail(f"cannot emit bench figures: `{key}` unavailable")
-    with open(path, "w") as f:
-        f.write(json.dumps(bench) + "\n")
-    print(f"check_manifest: wrote {path}")
-
-
 def require_counter(manifest, spec):
     """Assert a counter exists with at least the given value. The spec
     is `NAME` or `NAME:MIN` (MIN defaults to 1). Timing-class counters
@@ -302,11 +239,6 @@ def require_counter(manifest, spec):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("manifest", help="path to the run manifest JSON")
-    ap.add_argument(
-        "--emit-bench",
-        metavar="PATH",
-        help="also write a one-line benchmark-figures JSON to PATH",
-    )
     ap.add_argument(
         "--diagnostics",
         action="store_true",
@@ -336,8 +268,6 @@ def main():
     validate(manifest)
     for spec in args.require_counter:
         require_counter(manifest, spec)
-    if args.emit_bench:
-        emit_bench(manifest, args.emit_bench)
     print(f"check_manifest: OK — {args.manifest} validates (schema 1)")
 
 

@@ -1,19 +1,9 @@
 //! `phaselab` — command-line front end for the workload characterization
 //! library.
 //!
-//! ```text
-//! phaselab list                          list the 77 bundled benchmarks
-//! phaselab info <suite>/<bench>          suite, inputs, program size
-//! phaselab disasm <suite>/<bench>        disassemble the program
-//! phaselab characterize <suite>/<bench>  per-interval characteristics (CSV)
-//! phaselab aggregate <suite>/<bench>     whole-execution characteristics
-//!
-//! options (where applicable):
-//!   --scale tiny|small|full   workload scale      (default: small)
-//!   --interval N              interval length     (default: 100000)
-//!   --input N                 input index         (default: 0)
-//!   --features a,b,c          restrict columns by feature name
-//! ```
+//! `phaselab <command> [<suite>/<bench>] [options]`; `phaselab --help`
+//! prints the commands and options (the `USAGE` constant below is the
+//! one copy).
 //!
 //! Benchmarks are addressed as `<suite short name>/<benchmark>`, e.g.
 //! `BioPerf/blast`, `int2006/mcf`, `BMW/face` (case-insensitive), or by
@@ -25,6 +15,22 @@ use phaselab::mica::AggregateCharacterizer;
 use phaselab::trace::TraceSink;
 use phaselab::vm::Vm;
 use phaselab::{catalog, characterize_program, feature_names, Benchmark, Scale};
+
+const USAGE: &str = "usage: phaselab <command> [<suite>/<bench>] [options]
+
+commands:
+  list                          list the 77 bundled benchmarks
+  info <suite>/<bench>          suite, inputs, program size
+  disasm <suite>/<bench>        disassemble the program
+  characterize <suite>/<bench>  per-interval characteristics (CSV)
+  aggregate <suite>/<bench>     whole-execution characteristics
+  help, --help, -h              print this help and exit
+
+options (where applicable):
+  --scale tiny|small|full   workload scale      (default: small)
+  --interval N              interval length     (default: 100000)
+  --input N                 input index         (default: 0)
+  --features a,b,c          restrict columns by feature name";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -53,7 +59,7 @@ fn main() {
             parse_scale(rest),
             parse_u64(rest, "--input", 0) as usize,
         ),
-        "--help" | "-h" | "help" => usage_and_exit(),
+        "--help" | "-h" | "help" => println!("{USAGE}"),
         other => {
             eprintln!("unknown command `{other}`");
             usage_and_exit();
@@ -62,10 +68,7 @@ fn main() {
 }
 
 fn usage_and_exit() -> ! {
-    eprintln!(
-        "usage: phaselab <list|info|disasm|characterize|aggregate> [<suite>/<bench>] [options]\n\
-         see the module documentation in src/bin/phaselab.rs for details"
-    );
+    eprintln!("{USAGE}");
     exit(2);
 }
 

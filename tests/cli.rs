@@ -109,3 +109,16 @@ fn unknown_command_exits_with_usage() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8(out.stderr).unwrap().contains("usage"));
 }
+
+#[test]
+fn help_prints_the_command_table_to_stdout_and_exits_zero() {
+    for flag in ["--help", "-h", "help"] {
+        let out = phaselab(&[flag]);
+        assert_eq!(out.status.code(), Some(0), "{flag}");
+        assert!(out.stderr.is_empty(), "{flag}");
+        let text = String::from_utf8(out.stdout).unwrap();
+        for needle in ["characterize <suite>/<bench>", "--scale", "--features"] {
+            assert!(text.contains(needle), "{flag}: help missing `{needle}`");
+        }
+    }
+}
