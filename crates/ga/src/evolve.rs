@@ -5,6 +5,10 @@
 //! child with the sequential RNG stream, then scores the whole brood in
 //! parallel. Scoring never touches the RNG, so the evolution trajectory
 //! (and therefore the result) is bit-identical for every thread count.
+//! Each distinct mask is scored once per run: unmutated copies and
+//! re-bred genomes reuse the memoized score.
+
+use std::collections::{HashMap, HashSet};
 
 use phaselab_par::{effective_threads, parallel_map};
 use rand::prelude::*;
@@ -156,7 +160,7 @@ pub struct GaResult {
     pub fitness: f64,
     /// Generations executed.
     pub generations: usize,
-    /// Total fitness evaluations.
+    /// Fitness calls made: one per distinct mask scored.
     pub evaluations: usize,
 }
 
@@ -168,7 +172,9 @@ pub struct GaResult {
 ///
 /// Fitness calls are batched per generation and evaluated on up to
 /// `cfg.threads` workers (0 = all cores); breeding stays sequential, so
-/// the outcome is identical for every thread count.
+/// the outcome is identical for every thread count. `fitness` must be a
+/// pure function of the mask: each distinct mask is scored once and its
+/// score reused.
 ///
 /// # Panics
 ///
@@ -189,15 +195,14 @@ pub fn select_features(
     let _span = phaselab_obs::span!("ga.select");
     let threads = effective_threads(cfg.threads);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut evaluations = 0usize;
+    let mut memo = Memo::default();
 
     // Initialize populations with random k-masks: breed every genome
     // first (sequential RNG), then score the whole batch in parallel.
     let init_masks: Vec<Vec<bool>> = (0..cfg.populations * cfg.population_size)
         .map(|_| random_mask(num_genes, k, &mut rng))
         .collect();
-    let init_scores = parallel_map(&init_masks, threads, |g| fitness(g));
-    evaluations += init_masks.len();
+    let init_scores = memo.score(&init_masks, threads, fitness);
     let mut scored = init_masks.into_iter().zip(init_scores);
     let mut pops: Vec<Vec<(Vec<bool>, f64)>> = (0..cfg.populations)
         .map(|_| scored.by_ref().take(cfg.population_size).collect())
@@ -244,8 +249,7 @@ pub fn select_features(
 
         // Score the whole brood in one parallel batch, then reassemble
         // the populations in breeding order.
-        let brood_scores = parallel_map(&brood, threads, |g| fitness(g));
-        evaluations += brood.len();
+        let brood_scores = memo.score(&brood, threads, fitness);
         let mut scored_children = brood.into_iter().zip(brood_scores);
         for (pop, elite) in pops.iter_mut().zip(elites) {
             let mut next = vec![elite];
@@ -306,14 +310,41 @@ pub fn select_features(
     if phaselab_obs::enabled() {
         use phaselab_obs::Class::Structural;
         phaselab_obs::counter_add("ga.generations", Structural, generation as u64);
-        phaselab_obs::counter_add("ga.evaluations", Structural, evaluations as u64);
+        phaselab_obs::counter_add("ga.evaluations", Structural, memo.scores.len() as u64);
     }
 
     GaResult {
         genome: best.0,
         fitness: best.1,
         generations: generation,
-        evaluations,
+        evaluations: memo.scores.len(),
+    }
+}
+
+/// Every score computed so far in one GA run, by mask.
+#[derive(Default)]
+struct Memo {
+    scores: HashMap<Vec<bool>, f64>,
+}
+
+impl Memo {
+    /// Scores `batch` in order, calling `fitness` in parallel once per
+    /// mask not scored before. The batch is deduplicated sequentially,
+    /// so which masks get scored never depends on the thread count.
+    fn score(
+        &mut self,
+        batch: &[Vec<bool>],
+        threads: usize,
+        fitness: &(dyn Fn(&[bool]) -> f64 + Sync),
+    ) -> Vec<f64> {
+        let mut seen = HashSet::new();
+        let fresh: Vec<&Vec<bool>> = batch
+            .iter()
+            .filter(|&g| !self.scores.contains_key(g) && seen.insert(g))
+            .collect();
+        let scores = parallel_map(&fresh, threads, |g| fitness(g));
+        self.scores.extend(fresh.into_iter().cloned().zip(scores));
+        batch.iter().map(|g| self.scores[g]).collect()
     }
 }
 
@@ -442,6 +473,29 @@ mod tests {
             assert_eq!(base.evaluations, other.evaluations);
             assert_eq!(base.generations, other.generations);
         }
+    }
+
+    #[test]
+    fn each_distinct_mask_is_scored_once() {
+        use std::sync::Mutex;
+        let seen = Mutex::new(Vec::<Vec<bool>>::new());
+        let fitness = |mask: &[bool]| {
+            seen.lock().unwrap().push(mask.to_vec());
+            mask.iter()
+                .enumerate()
+                .map(|(i, &g)| if g { (i as f64).sin() } else { 0.0 })
+                .sum()
+        };
+        let r = select_features(12, 4, &fitness, &GaConfig::fast(5).with_threads(2));
+        let mut calls = seen.into_inner().unwrap();
+        let made = calls.len();
+        calls.sort();
+        calls.dedup();
+        assert_eq!(calls.len(), made, "a mask was scored twice");
+        assert_eq!(r.evaluations, made);
+        // Copies of parents recur: fewer calls than genomes bred.
+        let cfg = GaConfig::fast(5);
+        assert!(made < cfg.populations * cfg.population_size * (r.generations + 1));
     }
 
     #[test]
