@@ -1,173 +1,174 @@
 //! Branch predictability analyzer (14 features): taken/transition rates
-//! and prediction-by-partial-matching (PPM) misprediction rates.
+//! and misprediction rates of the theoretical prediction-by-partial-matching
+//! (PPM) predictor, which keeps exact statistics for every context.
+//!
+//! A context of length `len + 1` extends the context of length `len` by
+//! history bit `len` (the outcome `len + 1` branches back), so the 13
+//! contexts a branch probes (lengths 0 to 12) are one root-to-leaf path
+//! of a binary trie. One walk down that path serves both the probe and
+//! the update. Global-table predictors store their whole trie implicitly
+//! in a flat array; per-address predictors grow one trie per static
+//! branch in a node arena.
 
 use std::collections::hash_map;
 
 use phaselab_trace::InstRecord;
 
 use crate::features::{FeatureVector, BRANCH_BASE};
-use crate::fxhash::{mix64, FxHashMap};
+use crate::fxhash::FxHashMap;
 use crate::Analyzer;
 
 /// Deepest context length tracked by the PPM predictors.
 const MAX_HIST: u32 = 12;
 
-/// Context lengths per branch: every length from 0 to [`MAX_HIST`].
-const CONTEXTS: usize = MAX_HIST as usize + 1;
-
 /// The three maximum history lengths of the characterization.
 const DEPTHS: [u32; 3] = [4, 8, 12];
 
-/// log2 of the number of entries in each direct-mapped PPM table.
-const TABLE_BITS: u32 = 16;
+/// Not-taken and taken counts of one context, indexed by outcome. A
+/// context with zero counts has never been seen.
+type Counts = [u32; 2];
 
-/// One direct-mapped, tagged, generation-stamped PPM context table.
+/// Predicts from one context on the walk down a trie, then learns the
+/// outcome there.
 ///
-/// The theoretical PPM predictor of Chen, Coffey & Mudge keeps exact
-/// per-context statistics; we approximate its storage with a large
-/// direct-mapped tagged table (64-bit tags, replace-on-collision), which
-/// keeps per-branch cost constant. Collisions are rare at 2^16 entries for
-/// interval-sized working sets, so measured misprediction rates track the
-/// exact predictor closely.
-#[derive(Debug, Clone)]
-struct PpmTable {
-    entries: Vec<Entry>,
-    gen: u32,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct Entry {
-    tag: u64,
-    gen: u32,
-    taken: u16,
-    not_taken: u16,
-}
-
-impl PpmTable {
-    fn new() -> Self {
-        PpmTable {
-            entries: vec![Entry::default(); 1 << TABLE_BITS],
-            gen: 1,
-        }
-    }
-
-    #[inline]
-    fn slot(key: u64) -> usize {
-        (key & ((1 << TABLE_BITS) - 1)) as usize
-    }
-
-    /// Returns `(taken, not_taken)` counts if the context has been seen.
-    #[inline]
-    fn lookup(&self, key: u64) -> Option<(u16, u16)> {
-        let e = &self.entries[Self::slot(key)];
-        (e.gen == self.gen && e.tag == key).then_some((e.taken, e.not_taken))
-    }
-
-    #[inline]
-    fn update(&mut self, key: u64, taken: bool) {
-        let gen = self.gen;
-        let e = &mut self.entries[Self::slot(key)];
-        if e.gen != gen || e.tag != key {
-            *e = Entry {
-                tag: key,
-                gen,
-                taken: 0,
-                not_taken: 0,
-            };
-        }
-        if taken {
-            e.taken = e.taken.saturating_add(1);
-        } else {
-            e.not_taken = e.not_taken.saturating_add(1);
-        }
-    }
-
-    fn reset(&mut self) {
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            // Generation wrapped: physically clear to avoid stale matches.
-            self.entries.iter_mut().for_each(|e| *e = Entry::default());
-            self.gen = 1;
-        }
-    }
-}
-
-/// Key for a PPM context: length, history bits, and (for per-address
-/// tables) the branch PC.
+/// Contexts arrive in ascending length, and each seen context
+/// overwrites the prediction of every depth at or above its length, so
+/// each depth ends with its longest seen context: the PPM rule. A depth
+/// with no seen context keeps its initial not-taken prediction.
 #[inline]
-fn context_key(len: u32, hist: u64, pc: u64) -> u64 {
-    let masked = if len == 0 { 0 } else { hist & ((1 << len) - 1) };
-    mix64(masked ^ ((len as u64) << 56) ^ pc.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+fn visit(predictions: &mut [bool; 3], len: u32, counts: &mut Counts, taken: bool) {
+    if *counts != [0, 0] {
+        let predicted = counts[1] >= counts[0];
+        for (pred, &depth) in predictions.iter_mut().zip(&DEPTHS) {
+            if len <= depth {
+                *pred = predicted;
+            }
+        }
+    }
+    let c = &mut counts[usize::from(taken)];
+    *c = c.saturating_add(1);
 }
 
-/// One of the four predictor organizations: {global, local} history ×
-/// {global, per-address} table.
+/// The context trie of a global-table predictor (GAg, PAg), stored
+/// implicitly: the context of length `len` over history `h` lives at
+/// slot `(1 << len) | (h & mask(len))`. All 2^13 - 1 contexts of lengths
+/// 0 to 12 fit in 64 KB, and the 13 slots of a walk are independent
+/// loads.
 #[derive(Debug, Clone)]
-struct PpmPredictor {
-    local_history: bool,
-    per_address: bool,
-    table: PpmTable,
-    /// Misses per depth (4, 8, 12).
-    misses: [u64; 3],
+struct ContextTable {
+    counts: Vec<Counts>,
 }
 
-impl PpmPredictor {
-    fn new(local_history: bool, per_address: bool) -> Self {
-        PpmPredictor {
-            local_history,
-            per_address,
-            table: PpmTable::new(),
-            misses: [0; 3],
+impl ContextTable {
+    fn new() -> Self {
+        ContextTable {
+            counts: vec![[0; 2]; 1 << (MAX_HIST + 1)],
         }
     }
 
-    /// Predicts and then learns one branch outcome.
-    ///
-    /// Each of the 13 context keys is hashed once and serves both the
-    /// probe and the update. Every slot is read before any is written:
-    /// two context lengths of one branch can map to the same slot, and
-    /// updating the shorter one first would evict the longer one's entry
-    /// before it was read. Scanning lengths in ascending order lets each
-    /// later (longer) hit overwrite the prediction of every depth it fits
-    /// under, so each depth ends with its longest hit — the PPM rule.
+    /// Returns the per-depth predictions for `hist` and learns `taken`.
     #[inline]
-    fn observe(&mut self, pc: u64, hist: u64, taken: bool) {
-        let pc_key = if self.per_address { pc } else { 0 };
-        let keys: [u64; CONTEXTS] =
-            std::array::from_fn(|len| context_key(len as u32, hist, pc_key));
-        let mut predictions: [Option<bool>; 3] = [None; 3];
-        for (len, &key) in (0..).zip(&keys) {
-            if let Some((t, n)) = self.table.lookup(key) {
-                for (pred, &depth) in predictions.iter_mut().zip(&DEPTHS) {
-                    if len <= depth {
-                        *pred = Some(t >= n);
-                    }
-                }
-            }
+    fn observe(&mut self, hist: u64, taken: bool) -> [bool; 3] {
+        let mut predictions = [false; 3];
+        for len in 0..=MAX_HIST {
+            let mask = (1u64 << len) - 1;
+            let slot = (1 << len) | (hist & mask) as usize;
+            visit(&mut predictions, len, &mut self.counts[slot], taken);
         }
-        for (miss, pred) in self.misses.iter_mut().zip(predictions) {
-            // An unseen branch (no context at any length) predicts
-            // not-taken.
-            let predicted = pred.unwrap_or(false);
-            if predicted != taken {
-                *miss += 1;
+        predictions
+    }
+
+    fn reset(&mut self) {
+        self.counts.fill([0; 2]);
+    }
+}
+
+/// One context of a per-address trie.
+#[derive(Debug, Clone, Copy, Default)]
+struct Node {
+    counts: Counts,
+    /// Children by the next history bit; 0 means absent (index 0 is
+    /// always a root, and a root is nobody's child).
+    child: [u32; 2],
+}
+
+/// The context tries of a per-address predictor (GAp, PAp): one arena
+/// of nodes, holding one trie per static branch. Each branch's root
+/// index lives in its per-PC state.
+#[derive(Debug, Clone, Default)]
+struct ContextArena {
+    nodes: Vec<Node>,
+}
+
+impl ContextArena {
+    /// Appends an unseen context, such as the root (length-0 context) of
+    /// a new branch's trie, and returns its index.
+    fn push(&mut self) -> u32 {
+        let index = u32::try_from(self.nodes.len()).expect("PPM trie exceeds 2^32 nodes");
+        self.nodes.push(Node::default());
+        index
+    }
+
+    /// Walks the trie under `root` along `hist`, creating absent
+    /// contexts, and returns the per-depth predictions after learning
+    /// `taken` at every context of the path.
+    #[inline]
+    fn observe(&mut self, root: u32, hist: u64, taken: bool) -> [bool; 3] {
+        let mut predictions = [false; 3];
+        let mut node = root as usize;
+        for len in 0..=MAX_HIST {
+            visit(&mut predictions, len, &mut self.nodes[node].counts, taken);
+            if len == MAX_HIST {
+                break;
             }
+            let bit = ((hist >> len) & 1) as usize;
+            let next = self.nodes[node].child[bit];
+            if next == 0 {
+                // Every longer context is new too: append the rest of
+                // the path as one chain, already learned.
+                self.grow(node, len, hist, taken);
+                break;
+            }
+            node = next as usize;
         }
-        for key in keys {
-            self.table.update(key, taken);
+        predictions
+    }
+
+    /// Appends the contexts of lengths `from + 1` to 12 on the path
+    /// below `node`, each having seen `taken` once. Kept out of line:
+    /// once an interval warms up, most walks find their whole path.
+    #[cold]
+    fn grow(&mut self, mut node: usize, from: u32, hist: u64, taken: bool) {
+        for len in from..MAX_HIST {
+            let next = self.push();
+            self.nodes[node].child[((hist >> len) & 1) as usize] = next;
+            node = next as usize;
+            self.nodes[node].counts[usize::from(taken)] = 1;
         }
     }
 
     fn reset(&mut self) {
-        self.table.reset();
-        self.misses = [0; 3];
+        self.nodes.clear();
     }
+}
+
+/// What the analyzer keeps per static branch.
+#[derive(Debug, Clone, Copy)]
+struct PcState {
+    last: bool,
+    local_hist: u64,
+    /// Trie roots in the GAp and PAp arenas.
+    roots: [u32; 2],
 }
 
 /// Computes the 14 branch-predictability characteristics of Table 1:
 /// average transition rate, average taken rate, and misprediction rates of
 /// the theoretical PPM predictor for global/local history, global and
 /// per-address tables, and maximum history lengths 4, 8 and 12.
+///
+/// The predictor is exact: every context keeps its own taken and
+/// not-taken counts for the whole interval, with nothing evicted or
+/// aliased.
 ///
 /// Only conditional branches participate; unconditional transfers are
 /// perfectly predictable and excluded, as in MICA.
@@ -177,11 +178,18 @@ pub struct BranchAnalyzer {
     taken: u64,
     transitions: u64,
     with_history: u64,
-    /// Per static branch: its last outcome and its local history.
-    per_pc: FxHashMap<u64, (bool, u64)>,
+    per_pc: FxHashMap<u64, PcState>,
     global_hist: u64,
-    /// Order: GAg, GAp, PAg, PAp (history kind, then table kind).
-    predictors: [PpmPredictor; 4],
+    /// Global history, global table.
+    gag: ContextTable,
+    /// Global history, per-address tables.
+    gap: ContextArena,
+    /// Local history, global table.
+    pag: ContextTable,
+    /// Local history, per-address tables.
+    pap: ContextArena,
+    /// Misses per predictor (GAg, GAp, PAg, PAp) and depth (4, 8, 12).
+    misses: [[u64; 3]; 4],
 }
 
 impl BranchAnalyzer {
@@ -194,12 +202,11 @@ impl BranchAnalyzer {
             with_history: 0,
             per_pc: FxHashMap::default(),
             global_hist: 0,
-            predictors: [
-                PpmPredictor::new(false, false), // GAg: global history, global table
-                PpmPredictor::new(false, true),  // GAp: global history, per-address table
-                PpmPredictor::new(true, false),  // PAg: local history, global table
-                PpmPredictor::new(true, true),   // PAp: local history, per-address table
-            ],
+            gag: ContextTable::new(),
+            gap: ContextArena::default(),
+            pag: ContextTable::new(),
+            pap: ContextArena::default(),
+            misses: [[0; 3]; 4],
         }
     }
 }
@@ -225,30 +232,38 @@ impl BranchAnalyzer {
         self.branches += 1;
         self.taken += taken as u64;
 
-        let (last, local) = match self.per_pc.entry(pc) {
+        let state = match self.per_pc.entry(pc) {
             hash_map::Entry::Occupied(e) => {
                 let state = e.into_mut();
                 self.with_history += 1;
-                if state.0 != taken {
+                if state.last != taken {
                     self.transitions += 1;
                 }
                 state
             }
-            hash_map::Entry::Vacant(e) => e.insert((taken, 0)),
+            hash_map::Entry::Vacant(e) => e.insert(PcState {
+                last: taken,
+                local_hist: 0,
+                roots: [self.gap.push(), self.pap.push()],
+            }),
         };
-        *last = taken;
-        let local_before = *local;
-        *local = ((*local << 1) | taken as u64) & ((1 << MAX_HIST) - 1);
-        let global_before = self.global_hist;
-        self.global_hist = ((self.global_hist << 1) | taken as u64) & ((1 << MAX_HIST) - 1);
+        state.last = taken;
+        let local = state.local_hist;
+        state.local_hist = ((local << 1) | taken as u64) & ((1 << MAX_HIST) - 1);
+        let roots = state.roots;
+        let global = self.global_hist;
+        self.global_hist = ((global << 1) | taken as u64) & ((1 << MAX_HIST) - 1);
 
-        for p in &mut self.predictors {
-            let hist = if p.local_history {
-                local_before
-            } else {
-                global_before
-            };
-            p.observe(pc, hist, taken);
+        let predictions = [
+            self.gag.observe(global, taken),
+            self.gap.observe(roots[0], global, taken),
+            self.pag.observe(local, taken),
+            self.pap.observe(roots[1], local, taken),
+        ];
+        for (misses, predicted) in self.misses.iter_mut().zip(predictions) {
+            for (miss, p) in misses.iter_mut().zip(predicted) {
+                *miss += u64::from(p != taken);
+            }
         }
     }
 }
@@ -264,8 +279,8 @@ impl Analyzer for BranchAnalyzer {
         out[BRANCH_BASE] = self.transitions as f64 / self.with_history.max(1) as f64;
         out[BRANCH_BASE + 1] = self.taken as f64 / self.branches.max(1) as f64;
         let denom = self.branches.max(1) as f64;
-        for (pi, p) in self.predictors.iter().enumerate() {
-            for (di, &m) in p.misses.iter().enumerate() {
+        for (pi, misses) in self.misses.iter().enumerate() {
+            for (di, &m) in misses.iter().enumerate() {
                 out[BRANCH_BASE + 2 + pi * 3 + di] = m as f64 / denom;
             }
         }
@@ -278,9 +293,11 @@ impl Analyzer for BranchAnalyzer {
         self.with_history = 0;
         self.per_pc.clear();
         self.global_hist = 0;
-        for p in &mut self.predictors {
-            p.reset();
-        }
+        self.gag.reset();
+        self.gap.reset();
+        self.pag.reset();
+        self.pap.reset();
+        self.misses = [[0; 3]; 4];
     }
 }
 
@@ -288,6 +305,7 @@ impl Analyzer for BranchAnalyzer {
 #[allow(clippy::needless_range_loop)] // index loops over feature slots read clearest
 mod tests {
     use super::*;
+    use crate::fxhash::mix64;
     use phaselab_trace::{BranchInfo, InstClass};
 
     fn branch(pc: u64, taken: bool) -> InstRecord {
@@ -429,70 +447,174 @@ mod tests {
         assert!(f[2] > 0.99, "cold predictor should miss the first branch");
     }
 
-    /// The two-pass probe the fused [`PpmPredictor::observe`] replaced:
-    /// a longest-first lookup walk that stops once every depth has a
-    /// prediction, then an update pass that rehashes every context.
-    fn observe_two_pass(p: &mut PpmPredictor, pc: u64, hist: u64, taken: bool) {
-        let pc_key = if p.per_address { pc } else { 0 };
-        let mut predictions: [Option<bool>; 3] = [None; 3];
-        for len in (0..=MAX_HIST).rev() {
-            if let Some((t, n)) = p.table.lookup(context_key(len, hist, pc_key)) {
-                for (i, &depth) in DEPTHS.iter().enumerate() {
-                    if len <= depth && predictions[i].is_none() {
-                        predictions[i] = Some(t >= n);
-                    }
-                }
-                if predictions.iter().all(Option::is_some) {
-                    break;
-                }
+    /// log2 of the number of entries in each hashed reference table.
+    const TABLE_BITS: u32 = 16;
+
+    /// The hashed storage the context tries replaced: one direct-mapped,
+    /// tagged, generation-stamped table per predictor, with 64-bit tags,
+    /// saturating 16-bit counters and replace-on-collision. It records
+    /// whether it replaced a live entry in the current generation; until
+    /// it does, every context it holds has exact counts, as in a trie.
+    #[derive(Debug, Clone)]
+    struct PpmTable {
+        entries: Vec<Entry>,
+        gen: u32,
+        evicted: bool,
+    }
+
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Entry {
+        tag: u64,
+        gen: u32,
+        taken: u16,
+        not_taken: u16,
+    }
+
+    impl PpmTable {
+        fn new() -> Self {
+            PpmTable {
+                entries: vec![Entry::default(); 1 << TABLE_BITS],
+                gen: 1,
+                evicted: false,
             }
         }
-        for (miss, pred) in p.misses.iter_mut().zip(predictions) {
-            if pred.unwrap_or(false) != taken {
-                *miss += 1;
+
+        fn slot(key: u64) -> usize {
+            (key & ((1 << TABLE_BITS) - 1)) as usize
+        }
+
+        /// Returns `(taken, not_taken)` counts if the context has been seen.
+        fn lookup(&self, key: u64) -> Option<(u16, u16)> {
+            let e = &self.entries[Self::slot(key)];
+            (e.gen == self.gen && e.tag == key).then_some((e.taken, e.not_taken))
+        }
+
+        fn update(&mut self, key: u64, taken: bool) {
+            let gen = self.gen;
+            let e = &mut self.entries[Self::slot(key)];
+            if e.gen != gen || e.tag != key {
+                self.evicted |= e.gen == gen;
+                *e = Entry {
+                    tag: key,
+                    gen,
+                    taken: 0,
+                    not_taken: 0,
+                };
+            }
+            if taken {
+                e.taken = e.taken.saturating_add(1);
+            } else {
+                e.not_taken = e.not_taken.saturating_add(1);
             }
         }
-        for len in 0..=MAX_HIST {
-            p.table.update(context_key(len, hist, pc_key), taken);
+
+        fn reset(&mut self) {
+            self.gen += 1;
+            self.evicted = false;
         }
     }
 
-    /// A tempting but wrong fusion: probe and update each length in
-    /// turn, so a shorter context's update can evict a longer one's
-    /// entry before it is read.
-    fn observe_interleaved(p: &mut PpmPredictor, pc: u64, hist: u64, taken: bool) {
-        let pc_key = if p.per_address { pc } else { 0 };
-        let mut predictions: [Option<bool>; 3] = [None; 3];
-        for len in 0..=MAX_HIST {
-            let key = context_key(len, hist, pc_key);
-            if let Some((t, n)) = p.table.lookup(key) {
-                for (i, &depth) in DEPTHS.iter().enumerate() {
-                    if len <= depth {
-                        predictions[i] = Some(t >= n);
+    /// Key for a PPM context: length, history bits, and (for per-address
+    /// tables) the branch PC.
+    fn context_key(len: u32, hist: u64, pc: u64) -> u64 {
+        let masked = if len == 0 { 0 } else { hist & ((1 << len) - 1) };
+        mix64(masked ^ ((len as u64) << 56) ^ pc.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+    }
+
+    /// One hashed predictor organization, probed as the analyzer did
+    /// before the tries: all 13 slots read in ascending length, then all
+    /// 13 updated.
+    struct HashedPredictor {
+        local_history: bool,
+        per_address: bool,
+        table: PpmTable,
+        misses: [u64; 3],
+    }
+
+    impl HashedPredictor {
+        fn new(local_history: bool, per_address: bool) -> Self {
+            HashedPredictor {
+                local_history,
+                per_address,
+                table: PpmTable::new(),
+                misses: [0; 3],
+            }
+        }
+
+        fn observe(&mut self, pc: u64, hist: u64, taken: bool) {
+            let pc_key = if self.per_address { pc } else { 0 };
+            let keys: Vec<u64> = (0..=MAX_HIST)
+                .map(|len| context_key(len, hist, pc_key))
+                .collect();
+            let mut predictions = [false; 3];
+            for (len, &key) in (0..).zip(&keys) {
+                if let Some((t, n)) = self.table.lookup(key) {
+                    for (pred, &depth) in predictions.iter_mut().zip(&DEPTHS) {
+                        if len <= depth {
+                            *pred = t >= n;
+                        }
                     }
                 }
             }
-            p.table.update(key, taken);
-        }
-        for (miss, pred) in p.misses.iter_mut().zip(predictions) {
-            if pred.unwrap_or(false) != taken {
-                *miss += 1;
+            for (miss, predicted) in self.misses.iter_mut().zip(predictions) {
+                *miss += u64::from(predicted != taken);
+            }
+            for key in keys {
+                self.table.update(key, taken);
             }
         }
     }
 
-    /// The analyzer as it was before the fused probe and the merged
-    /// per-PC map: separate last-outcome and local-history maps feeding
-    /// [`observe_two_pass`].
+    /// The PPM rule written as its definition, with no storage limit:
+    /// every (PC key, length, history bits) context keeps its counts,
+    /// and each depth searches from its own length down for the longest
+    /// seen context.
+    struct ExactPredictor {
+        local_history: bool,
+        per_address: bool,
+        counts: FxHashMap<(u64, u32, u64), Counts>,
+        misses: [u64; 3],
+    }
+
+    impl ExactPredictor {
+        fn new(local_history: bool, per_address: bool) -> Self {
+            ExactPredictor {
+                local_history,
+                per_address,
+                counts: FxHashMap::default(),
+                misses: [0; 3],
+            }
+        }
+
+        fn observe(&mut self, pc: u64, hist: u64, taken: bool) {
+            let pc_key = if self.per_address { pc } else { 0 };
+            let context = |len: u32| (pc_key, len, hist & ((1 << len) - 1));
+            for (miss, &depth) in self.misses.iter_mut().zip(&DEPTHS) {
+                let predicted = (0..=depth)
+                    .rev()
+                    .find_map(|len| self.counts.get(&context(len)))
+                    .is_some_and(|c| c[1] >= c[0]);
+                *miss += u64::from(predicted != taken);
+            }
+            for len in 0..=MAX_HIST {
+                self.counts.entry(context(len)).or_default()[usize::from(taken)] += 1;
+            }
+        }
+    }
+
+    /// The analyzer over hashed tables, as it was before the tries, and
+    /// over [`ExactPredictor`]s, fed the same branches.
     struct Reference {
         branches: u64,
         taken: u64,
         transitions: u64,
         with_history: u64,
-        last_outcome: FxHashMap<u64, bool>,
+        per_pc: FxHashMap<u64, (bool, u64)>,
         global_hist: u64,
-        local_hist: FxHashMap<u64, u64>,
-        predictors: [PpmPredictor; 4],
+        /// Order: GAg, GAp, PAg, PAp.
+        predictors: [HashedPredictor; 4],
+        /// Same order.
+        exact: [ExactPredictor; 4],
     }
 
     impl Reference {
@@ -502,10 +624,20 @@ mod tests {
                 taken: 0,
                 transitions: 0,
                 with_history: 0,
-                last_outcome: FxHashMap::default(),
+                per_pc: FxHashMap::default(),
                 global_hist: 0,
-                local_hist: FxHashMap::default(),
-                predictors: BranchAnalyzer::new().predictors,
+                predictors: [
+                    HashedPredictor::new(false, false),
+                    HashedPredictor::new(false, true),
+                    HashedPredictor::new(true, false),
+                    HashedPredictor::new(true, true),
+                ],
+                exact: [
+                    ExactPredictor::new(false, false),
+                    ExactPredictor::new(false, true),
+                    ExactPredictor::new(true, false),
+                    ExactPredictor::new(true, true),
+                ],
             }
         }
 
@@ -516,13 +648,12 @@ mod tests {
             let (pc, taken) = (rec.pc, branch.taken);
             self.branches += 1;
             self.taken += taken as u64;
-            if let Some(prev) = self.last_outcome.insert(pc, taken) {
+            if let Some(&(last, _)) = self.per_pc.get(&pc) {
                 self.with_history += 1;
-                if prev != taken {
-                    self.transitions += 1;
-                }
+                self.transitions += u64::from(last != taken);
             }
-            let local = self.local_hist.entry(pc).or_insert(0);
+            let (last, local) = self.per_pc.entry(pc).or_insert((taken, 0));
+            *last = taken;
             let local_before = *local;
             *local = ((*local << 1) | taken as u64) & ((1 << MAX_HIST) - 1);
             let global_before = self.global_hist;
@@ -533,18 +664,41 @@ mod tests {
                 } else {
                     global_before
                 };
-                observe_two_pass(p, pc, hist, taken);
+                p.observe(pc, hist, taken);
+            }
+            for p in &mut self.exact {
+                let hist = if p.local_history {
+                    local_before
+                } else {
+                    global_before
+                };
+                p.observe(pc, hist, taken);
             }
         }
 
+        /// Whether any table replaced a live entry this interval.
+        fn evicted(&self) -> bool {
+            self.predictors.iter().any(|p| p.table.evicted)
+        }
+
+        /// The 14 features' bits, with the hashed predictors' misses.
         fn emit(&self) -> Vec<u64> {
+            self.features(self.predictors.iter().map(|p| p.misses))
+        }
+
+        /// The 14 features' bits, with the exact predictors' misses.
+        fn emit_exact(&self) -> Vec<u64> {
+            self.features(self.exact.iter().map(|p| p.misses))
+        }
+
+        fn features(&self, misses: impl Iterator<Item = [u64; 3]>) -> Vec<u64> {
             let denom = self.branches.max(1) as f64;
             let mut out = vec![
                 self.transitions as f64 / self.with_history.max(1) as f64,
                 self.taken as f64 / denom,
             ];
-            for p in &self.predictors {
-                out.extend(p.misses.iter().map(|&m| m as f64 / denom));
+            for m in misses {
+                out.extend(m.iter().map(|&m| m as f64 / denom));
             }
             out.into_iter().map(f64::to_bits).collect()
         }
@@ -554,11 +708,15 @@ mod tests {
             self.taken = 0;
             self.transitions = 0;
             self.with_history = 0;
-            self.last_outcome.clear();
+            self.per_pc.clear();
             self.global_hist = 0;
-            self.local_hist.clear();
             for p in &mut self.predictors {
-                p.reset();
+                p.table.reset();
+                p.misses = [0; 3];
+            }
+            for p in &mut self.exact {
+                p.counts.clear();
+                p.misses = [0; 3];
             }
         }
     }
@@ -574,32 +732,39 @@ mod tests {
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
 
         #[test]
-        fn fused_probe_is_bit_identical_to_two_pass(
+        fn trie_matches_the_exact_and_hashed_references(
             seed in 0u64..u64::MAX,
-            pcs in 1u64..48,
+            pcs in 1u64..40,
             interval in 1u64..1500,
+            noise_bits in 1u32..16,
+            round_robin in 0u8..2,
         ) {
-            // Each static branch follows its own short period with
-            // occasional random flips; some are unconditional jumps.
+            // Each static branch follows its own short period, with
+            // random flips one time in 2^noise_bits; some records are
+            // unconditional jumps. Round-robin PC order keeps global
+            // histories periodic, so fewer contexts compete for slots.
+            // After every branch the trie must emit the exact
+            // reference's bits, and, up to the first eviction of each
+            // interval, the hashed reference's too.
             let mut state = seed;
             let periods: Vec<u64> = (0..pcs).map(|_| 1 + next(&mut state) % 9).collect();
-            let mut fused = BranchAnalyzer::new();
+            let mut trie = BranchAnalyzer::new();
             let mut reference = Reference::new();
-            for i in 0..4000u64 {
+            let mut compared = 0;
+            for i in 0..6000u64 {
                 if i > 0 && i % interval == 0 {
-                    proptest::prop_assert_eq!(emit_bits(&fused), reference.emit());
-                    fused.reset();
+                    trie.reset();
                     reference.reset();
                 }
                 let r = next(&mut state);
-                let pc_index = r % pcs;
-                let taken = if r >> 60 == 0 {
+                let pc_index = if round_robin == 1 { i % pcs } else { r % pcs };
+                let taken = if r >> (64 - noise_bits) == 0 {
                     (r >> 40) & 1 == 1
                 } else {
-                    i % periods[pc_index as usize] == 0
+                    i / pcs % periods[pc_index as usize] == 0
                 };
                 let rec = InstRecord::new(0x400 + 4 * pc_index, InstClass::CondBranch)
                     .with_branch(BranchInfo {
@@ -607,80 +772,32 @@ mod tests {
                         target: 0,
                         conditional: (r >> 32) & 15 != 0,
                     });
-                fused.observe(&rec, i % interval);
+                trie.observe(&rec, i % interval);
                 reference.observe(&rec);
+                proptest::prop_assert_eq!(emit_bits(&trie), reference.emit_exact());
+                if !reference.evicted() {
+                    proptest::prop_assert_eq!(emit_bits(&trie), reference.emit());
+                    compared += 1;
+                }
             }
-            proptest::prop_assert_eq!(emit_bits(&fused), reference.emit());
+            proptest::prop_assert!(compared > 0);
         }
     }
 
     #[test]
-    fn lookups_precede_updates_when_two_contexts_share_a_slot() {
-        // Find a branch whose contexts of lengths `a < b` (with `b` a
-        // PPM depth) share a slot under history `h`, and whose other
-        // contexts, under `h` and under `h` with bit `b - 1` flipped,
-        // collide nowhere else.
-        let h = 0b1010_0110_1101;
-        let slots = |pc: u64, hist: u64| -> Vec<usize> {
-            (0..=MAX_HIST)
-                .map(|len| PpmTable::slot(context_key(len, hist, pc)))
-                .collect()
-        };
-        let (pc, b) = (0u64..)
-            .map(|i| 4 * i)
-            .find_map(|pc| {
-                let under_h = slots(pc, h);
-                DEPTHS.iter().find_map(|&b| {
-                    let mut all = under_h.clone();
-                    all.extend(slots(pc, h ^ (1 << (b - 1)))[b as usize..].iter());
-                    let shared = under_h[b as usize];
-                    let collides = under_h[..b as usize].contains(&shared);
-                    all.sort_unstable();
-                    all.dedup();
-                    // Only the one pair may collide: 13 + (13 - b) - 1
-                    // distinct slots.
-                    (collides && all.len() == 2 * CONTEXTS - b as usize - 1).then_some((pc, b))
-                })
-            })
-            .expect("some branch has a colliding pair");
-        let depth = DEPTHS.iter().position(|&d| d == b).unwrap();
-
-        // Shorter contexts learn not-taken under the sibling history;
-        // then the branch is taken once under `h`, which leaves the
-        // shared slot holding context `b`. The last probe under `h`
-        // must read that entry before context `a` evicts it.
-        let steps = [
-            (h ^ (1 << (b - 1)), false),
-            (h ^ (1 << (b - 1)), false),
-            (h ^ (1 << (b - 1)), false),
-            (h, true),
-            (h, true),
-        ];
-        let run = |observe: fn(&mut PpmPredictor, u64, u64, bool)| {
-            let mut p = PpmPredictor::new(false, true);
-            for (hist, taken) in steps {
-                observe(&mut p, pc, hist, taken);
-            }
-            p.misses
-        };
-        let reference = run(observe_two_pass);
-        assert_eq!(run(PpmPredictor::observe), reference);
-        let interleaved = run(observe_interleaved);
-        assert_eq!(
-            interleaved[depth],
-            reference[depth] + 1,
-            "pc {pc:#x}, b {b}"
-        );
-    }
-
-    #[test]
-    fn ppm_table_generation_reset() {
+    fn hashed_reference_reports_evictions_and_resets() {
         let mut t = PpmTable::new();
         t.update(42, true);
         assert_eq!(t.lookup(42), Some((1, 0)));
-        t.reset();
+        assert!(!t.evicted);
+        t.update(42 + (1 << TABLE_BITS), false);
+        assert!(t.evicted, "a live entry in the same slot was replaced");
         assert_eq!(t.lookup(42), None);
+        t.reset();
+        assert!(!t.evicted);
+        assert_eq!(t.lookup(42 + (1 << TABLE_BITS)), None);
         t.update(42, false);
         assert_eq!(t.lookup(42), Some((0, 1)));
+        assert!(!t.evicted, "a stale entry is free, not evicted");
     }
 }

@@ -65,12 +65,15 @@ use phaselab_trace::InstRecord;
 /// Version of the feature *semantics*: what each of the 69 features
 /// measures, down to the bit.
 ///
-/// Bump it with any change that can alter a feature value (for example,
-/// replacing the hashed PPM tables with an exact predictor). Result
+/// Bump it with any change that can alter a feature value. Result
 /// caches fold it into their keys, so a bump retires every stored
 /// characterization instead of serving stale rows. Pure speed changes
 /// keep it, and `tests/feature_golden.rs` pins the bits per version.
-pub const FEATURE_SEMANTICS: u32 = 1;
+///
+/// Version 1 approximated the PPM predictors with hashed, tagged
+/// tables, whose collisions could evict contexts. Version 2 keeps every
+/// context exactly, in context tries.
+pub const FEATURE_SEMANTICS: u32 = 2;
 
 /// A per-interval analyzer computing a fixed slice of the feature vector.
 ///

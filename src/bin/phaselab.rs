@@ -16,6 +16,35 @@ use phaselab::trace::TraceSink;
 use phaselab::vm::Vm;
 use phaselab::{catalog, characterize_program, feature_names, Benchmark, Scale};
 
+/// Shadows `std::println!`: a reader that closes stdout early (`| head`)
+/// ends the program quietly instead of panicking on the broken pipe.
+macro_rules! println {
+    () => {
+        print!("\n")
+    };
+    ($($arg:tt)*) => {
+        print!("{}\n", format_args!($($arg)*))
+    };
+}
+
+/// Shadows `std::print!`, with the broken-pipe exit of [`println!`].
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// Writes to stdout; exits with status 0 if the reader has gone away.
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
 const USAGE: &str = "usage: phaselab <command> [<suite>/<bench>] [options]
 
 commands:

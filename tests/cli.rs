@@ -122,3 +122,41 @@ fn help_prints_the_command_table_to_stdout_and_exits_zero() {
         }
     }
 }
+
+#[test]
+fn closing_stdout_early_exits_quietly() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+
+    // About 750 KB of CSV: far more than a pipe buffers, so the writer
+    // is still writing when the reader goes away.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_phaselab"))
+        .args([
+            "characterize",
+            "BMW/face",
+            "--scale",
+            "tiny",
+            "--interval",
+            "100",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut header = String::new();
+    stdout.read_line(&mut header).unwrap();
+    assert!(header.starts_with("interval,"), "{header}");
+    drop(stdout);
+
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    let status = child.wait().unwrap();
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(status.code(), Some(0), "{stderr}");
+}

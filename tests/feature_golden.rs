@@ -7,14 +7,15 @@
 //! cached characterization) and record the new digest under the new
 //! version here. The digest for version 1 was recorded before the fused
 //! PPM probe, the divide-free ILP window and the gated footprint inserts
-//! landed, so it proves those rewrites exact on real registry streams.
+//! landed, so it proved those rewrites exact on real registry streams.
+//! Version 2 replaced the hashed PPM tables with exact context tries.
 
 use phaselab::mica::FEATURE_SEMANTICS;
 use phaselab::{catalog, characterize_program};
 use phaselab::{Scale, NUM_FEATURES};
 
 /// Recorded digests, keyed by feature-semantics version.
-const GOLDEN: [(u32, u64); 1] = [(1, 0xfa75_cd57_6d47_5f43)];
+const GOLDEN: [(u32, u64); 2] = [(1, 0xfa75_cd57_6d47_5f43), (2, 0x81af_6aea_af5f_3440)];
 
 /// Every `STEP`-th catalog entry is characterized: one program from
 /// each stretch of the registry, so every suite is represented.
